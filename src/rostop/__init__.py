@@ -45,7 +45,6 @@ from .bound import (
     ErrorCertificate,
     HardnessBound,
     MaxIterationsError,
-    bisect_qprime,
     certify,
     hardness_bound,
 )

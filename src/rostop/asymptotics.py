@@ -144,12 +144,6 @@ def q_eval(a: float, b: float, p: float, lam: float, mu: float, nu: float) -> fl
     )
 
 
-def _q1_raw(a: float, b: float, p: float, lam: float, nu):
-    # Simplified first derivative in nu, valid once lambda is pinned at
-    # lambda*(a, b, p); vectorises over nu.
-    return 1.0 - nu + ((1.0 + b * p) * (nu - lam) - a) * np.exp(p * (nu - 1.0))
-
-
 def q_derivatives(
     a: float, b: float, p: float, lambda_star: float, nu: float
 ) -> tuple[float, float, float]:
@@ -185,6 +179,13 @@ def q_derivatives(
     return q1, q2, q3
 
 
+def _require_ordering(times: AcceptanceTimes) -> None:
+    if not times.k_n <= times.kbar_n <= times.j_n:
+        raise OrderingError(
+            f"need k_n <= kbar_n <= j_n, got ({times.k_n}, {times.kbar_n}, {times.j_n})"
+        )
+
+
 def conditional_expectation_asymptotic(
     inst: InstanceParams, times: AcceptanceTimes, i: int
 ) -> float:
@@ -194,10 +195,7 @@ def conditional_expectation_asymptotic(
     all O(1/n) corrections are dropped.  Requires the eventual ordering
     ``k_n <= kbar_n <= j_n``.
     """
-    if not times.k_n <= times.kbar_n <= times.j_n:
-        raise OrderingError(
-            f"need k_n <= kbar_n <= j_n, got ({times.k_n}, {times.kbar_n}, {times.j_n})"
-        )
+    _require_ordering(times)
     n = inst.n
     if not 1 <= i <= n + 1:
         raise IndexError(f"position {i} out of range [1, {n + 1}]")
@@ -226,10 +224,7 @@ def partial_sums(
     ``q(lambda_n, mu_n, nu_n)``; this identity is re-verified on every call
     to 1e-10 and a violation raises :class:`ConsistencyError`.
     """
-    if not times.k_n <= times.kbar_n <= times.j_n:
-        raise OrderingError(
-            f"need k_n <= kbar_n <= j_n, got ({times.k_n}, {times.kbar_n}, {times.j_n})"
-        )
+    _require_ordering(times)
     a, b, p = inst.a, inst.b, inst.p
     ib = 1.0 / p + b
     lam, mu, nu = times.lambda_n, times.mu_n, times.nu_n

@@ -11,9 +11,10 @@ Bisection is used deliberately instead of a faster root finder: the error
 certificate rests on its bracket guarantee.  The returned ``nu_hat`` is the
 midpoint of the final bracket, so ``|nu_hat - nu*|`` is at most half the
 final width; that half-width is reported as ``nu_error_bound`` (it is never
-larger than ``xtol + |nu_hat| * rtol``).  Because ``|q'| < 1`` on the
-bracket neighbourhood (checked explicitly on a fine grid, with convexity
-of ``q'`` covering the gaps), the same bound dominates ``|q(nu_hat) - m|``.
+larger than ``xtol + |nu_hat| * rtol``).  ``q'`` is convex on the final
+bracket (third derivative positive at both ends), so its endpoint values
+and tangents prove ``|q'| < 1`` there, and the same bound then dominates
+``|q(nu_hat) - m|``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .asymptotics import ConsistencyError, _q1_raw, lambda_mu_star, q_derivatives, q_eval
+from .asymptotics import ConsistencyError, lambda_mu_star, q_derivatives, q_eval
 from .prophet import prophet_limit
 
 __all__ = [
@@ -33,14 +32,15 @@ __all__ = [
     "CertificationError",
     "HardnessBound",
     "ErrorCertificate",
-    "bisect_qprime",
     "hardness_bound",
     "certify",
 ]
 
 DEFAULT_XTOL = 1e-13
 DEFAULT_RTOL = 1e-14
-_CERT_GRID_POINTS = 100_000
+# Float-evaluation allowance on the closed-form sup |q'|: near its root
+# q' = 1 - nu + ... cancels, so its rounding error is about one ulp of 1.
+_QPRIME_ROUNDING = 4 * 2.0**-52
 
 
 class BracketError(ValueError):
@@ -53,7 +53,7 @@ class MaxIterationsError(RuntimeError):
 
 
 class CertificationError(RuntimeError):
-    """The |q'| < 1 neighbourhood check failed; the error chain does not close."""
+    """|q'| < 1 on the final bracket cannot be proved; the error chain does not close."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class ErrorCertificate:
     nu_error_bound: float
     qprime_sup: float
     q_error_bound: float
-    grid_points: int
+    grid_points: int  # points where q' is evaluated: the two ends, or 0 if monotone
     qprime_convex: bool
     trivially_exact: bool
 
@@ -142,33 +142,39 @@ def _bisect(
             hi = mid
 
 
-def bisect_qprime(
-    a: float,
-    b: float,
-    p: float,
-    xtol: float = DEFAULT_XTOL,
-    rtol: float = DEFAULT_RTOL,
-    max_iter: int = 200,
-) -> tuple[float, int]:
-    """Locate the interior zero of ``q'`` on ``[mu*, lambda*]``.
+def _qprime_sup(
+    a: float, b: float, p: float, lam: float, mu: float, lo: float, hi: float
+) -> float:
+    """Proven upper bound on ``sup |q'|`` over ``[lo, hi]`` from its two ends.
 
-    Requires a sign change (``q'(mu*) > 0 >= q'(lambda*)``); raises
-    :class:`BracketError` pointing the caller at the monotone case
-    otherwise.  About ``log2((lambda*-mu*)/xtol) ~ 42`` halvings suffice at
-    the default tolerances.
+    ``q''' = p e^{p(nu-1)} (2 + p(2b - a + (1+bp)(nu - lambda*)))`` and the
+    last factor is linear in ``nu``, so ``q''' > 0`` at both ends makes
+    ``q'`` convex on the whole interval.  A convex function peaks at an
+    endpoint and lies above both endpoint tangents, which bounds ``q'``
+    from above and below.  Raises :class:`CertificationError` when
+    ``[lo, hi]`` is not inside ``[mu, lam]``, when ``q'`` is not convex
+    there, or when the bound reaches 1.
     """
-    prof = lambda_mu_star(a, b, p)
-    f = lambda nu: q_derivatives(a, b, p, prof.lambda_star, nu)[0]
-    nu_hat, iterations, _ = _bisect(f, prof.mu_star, prof.lambda_star, xtol, rtol, max_iter)
-    return nu_hat, iterations
-
-
-def _sup_abs_qprime(
-    a: float, b: float, p: float, lam: float, lo: float, hi: float
-) -> tuple[float, int]:
-    """Grid supremum of ``|q'|`` over ``[lo, hi]`` (endpoints included)."""
-    grid = np.linspace(lo, hi, _CERT_GRID_POINTS)
-    return float(np.max(np.abs(_q1_raw(a, b, p, lam, grid)))), _CERT_GRID_POINTS
+    if not mu <= lo <= hi <= lam:
+        raise CertificationError(
+            f"interval [{lo!r}, {hi!r}] is not inside [mu*, lambda*] = [{mu!r}, {lam!r}]"
+        )
+    q1_lo, q2_lo, q3_lo = q_derivatives(a, b, p, lam, lo)
+    q1_hi, q2_hi, q3_hi = q_derivatives(a, b, p, lam, hi)
+    if not (q3_lo > 0.0 and q3_hi > 0.0):
+        raise CertificationError(
+            f"q''' is not positive at both ends ({q3_lo!r}, {q3_hi!r}), "
+            "so q' is not proved convex on the interval"
+        )
+    w = hi - lo
+    upper = max(q1_lo, q1_hi)
+    lower = max(q1_lo + min(0.0, q2_lo) * w, q1_hi - max(0.0, q2_hi) * w)
+    sup = max(upper, -lower) + _QPRIME_ROUNDING
+    if sup >= 1.0:
+        raise CertificationError(
+            f"|q'| may reach {sup!r} >= 1 on the interval; error chain does not close"
+        )
+    return sup
 
 
 def _maximise_q(
@@ -185,7 +191,9 @@ def _maximise_q(
     Returns ``(case, nu_hat, m, iterations, nu_error_bound)``.  ``q'`` must
     be nonincreasing-then-at-most-zero in the convex sense established on
     the interval: ``q'(lam) <= 0`` is asserted, and ``q'(mu) <= 0`` selects
-    the monotone endpoint case.
+    the monotone endpoint case.  Otherwise the interior zero of ``q'`` is
+    bisected; about ``log2((lam - mu)/xtol) ~ 42`` halvings suffice at the
+    default tolerances.
     """
     q1_hi = q_derivatives(a, b, p, lam, lam)[0]
     if q1_hi > 0.0:
@@ -218,17 +226,10 @@ def hardness_bound(
     case, nu_hat, m, iterations, nu_err = _maximise_q(
         a, b, p, prof.lambda_star, prof.mu_star, xtol, rtol
     )
+    q_err = 0.0
     if case == "interior":
-        sup, _ = _sup_abs_qprime(
-            a, b, p, prof.lambda_star, nu_hat - nu_err, nu_hat + nu_err
-        )
-        if sup >= 1.0:
-            raise CertificationError(
-                f"|q'| reaches {sup!r} >= 1 near nu_hat; error chain does not close"
-            )
-        q_err = sup * nu_err
-    else:
-        q_err = 0.0
+        lo, hi = nu_hat - nu_err, nu_hat + nu_err
+        q_err = _qprime_sup(a, b, p, prof.lambda_star, prof.mu_star, lo, hi) * nu_err
     return HardnessBound(
         a=a,
         b=b,
@@ -251,11 +252,12 @@ def certify(bound: HardnessBound) -> ErrorCertificate:
     """Re-derive the error chain of a computed bound.
 
     Interior case: checks ``nu_error_bound <= xtol + |nu_hat| * rtol``,
-    evaluates ``sup |q'|`` over ``[nu_hat - e, nu_hat + e]`` on a fine grid,
-    confirms convexity of ``q'`` there (third derivative positive at both
-    endpoints, so the grid cannot hide an interior spike of the maximum of
-    ``q'``), and concludes ``|q(nu_hat) - max q| <= sup * e < e``.  Raises
-    :class:`CertificationError` when ``sup >= 1``.
+    proves ``q'`` convex on ``[nu_hat - e, nu_hat + e]`` (third derivative
+    positive at both ends), bounds ``sup |q'|`` there in closed form from
+    ``q'`` and ``q''`` at the two ends, and concludes
+    ``|q(nu_hat) - max q| <= sup * e < e``.  Raises
+    :class:`CertificationError` when the interval leaves ``[mu*, lambda*]``,
+    when convexity fails, or when ``sup >= 1``.
 
     Monotone case: the maximiser is the closed-form endpoint, so the
     certificate is trivially exact.
@@ -275,20 +277,13 @@ def certify(bound: HardnessBound) -> ErrorCertificate:
         raise CertificationError(
             f"nu_error_bound {e!r} exceeds the bisection guarantee {claim!r}"
         )
-    sup, grid_points = _sup_abs_qprime(
-        bound.a, bound.b, bound.p, bound.lambda_star, bound.nu_hat - e, bound.nu_hat + e
-    )
-    if sup >= 1.0:
-        raise CertificationError(
-            f"|q'| reaches {sup!r} >= 1 on the certified interval"
-        )
-    q3_lo = q_derivatives(bound.a, bound.b, bound.p, bound.lambda_star, bound.nu_hat - e)[2]
-    q3_hi = q_derivatives(bound.a, bound.b, bound.p, bound.lambda_star, bound.nu_hat + e)[2]
+    lo, hi = bound.nu_hat - e, bound.nu_hat + e
+    sup = _qprime_sup(bound.a, bound.b, bound.p, bound.lambda_star, bound.mu_star, lo, hi)
     return ErrorCertificate(
         nu_error_bound=e,
         qprime_sup=sup,
         q_error_bound=sup * e,
-        grid_points=grid_points,
-        qprime_convex=bool(q3_lo > 0.0 and q3_hi > 0.0),
+        grid_points=2,
+        qprime_convex=True,
         trivially_exact=False,
     )

@@ -3,8 +3,9 @@
 Subcommands: validate, dp, bound, simulate, sweep, figure.  Exit codes:
 0 success, 1 infeasible parameters or failed validation, 2 usage error.
 Parameters may come from flags or from a flat key-value config file
-(``--config``; keys a, b, p, n; ``key = value`` lines, ``#`` comments);
-flags win over the file.  All outputs are deterministic given the flags.
+(``--config``; keys a, b, p, n only, n integral; ``key = value`` lines,
+``#`` comments); flags win over the file.  All outputs are deterministic
+given the flags.
 """
 
 from __future__ import annotations
@@ -52,7 +53,15 @@ def _read_config(path: str) -> dict[str, float]:
                 break
         else:
             raise ValueError(f"config line not key=value: {raw!r}")
-        values[key.strip()] = float(val.strip())
+        key, val = key.strip(), val.strip()
+        if key not in ("a", "b", "p", "n"):
+            raise ValueError(f"unknown config key {key!r} (expected one of a, b, p, n)")
+        value = float(val)
+        if key == "n":
+            if not value.is_integer():
+                raise ValueError(f"config n must be an integer, got {val!r}")
+            value = int(value)
+        values[key] = value
     return values
 
 
@@ -61,8 +70,7 @@ def _merge_params(args, names: tuple[str, ...]) -> None:
         cfg = _read_config(args.config)
         for name in names:
             if getattr(args, name, None) is None and name in cfg:
-                value = cfg[name]
-                setattr(args, name, int(value) if name == "n" else value)
+                setattr(args, name, cfg[name])
     missing = [n for n in names if getattr(args, n, None) is None and n != "n"]
     if missing:
         flags = ", ".join(f"--{m}" for m in missing)

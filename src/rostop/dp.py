@@ -91,9 +91,7 @@ def compute_thresholds(inst: InstanceParams) -> ThresholdTables:
     n = inst.n
     a, b, p = inst.a, inst.b, inst.p
     nv = float(n)
-    w_top = 1.0 / (nv * nv)
-    w_mid = p / nv
-    w_zero = 1.0 - w_mid - w_top
+    w_top, w_mid, w_zero = inst.distribution().masses
 
     phi = [0.0] * (n + 1)
     phibar = [0.0] * (n + 1)
@@ -151,11 +149,9 @@ def optimal_value(inst: InstanceParams, tables: ThresholdTables) -> float:
     ``V`` compared against ``phibar[1]``.
     """
     n = inst.n
-    a, b, p = inst.a, inst.b, inst.p
+    a, b = inst.a, inst.b
     nv = float(n)
-    w_top = 1.0 / (nv * nv)
-    w_mid = p / nv
-    w_zero = 1.0 - w_mid - w_top
+    w_top, w_mid, w_zero = inst.distribution().masses
     phibar_1 = float(tables.phibar[1])
     phi_1 = float(tables.phi[1])
     ev = _ev_max(nv, b, w_top, w_mid, w_zero, phibar_1)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -136,6 +137,20 @@ def _finite(x: float, name: str) -> float:
     return x
 
 
+def _size(n) -> int:
+    # Any integral type (numpy ints included) becomes a Python int, so that
+    # n * n cannot overflow; bools and floats are rejected.
+    if isinstance(n, bool):
+        raise ParameterError(f"n must be an integer, got {n!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ParameterError(f"n must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ParameterError(f"n must be positive, got {n}")
+    return n
+
+
 def _nan_on_domain_error(fn, *args) -> float:
     try:
         return fn(*args)
@@ -160,10 +175,7 @@ def validate(a: float, b: float, p: float, n: int | None = None) -> ConditionRep
     b = _finite(b, "b")
     p = _finite(p, "p")
     if n is not None:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ParameterError(f"n must be an integer, got {n!r}")
-        if n < 1:
-            raise ParameterError(f"n must be positive, got {n}")
+        n = _size(n)
 
     ordering_margin = min(a, 1.0 - a, b - 1.0, p)
     log_lhs = _nan_on_domain_error(math.log1p, p * b)
@@ -210,6 +222,7 @@ def make_instance(
     diagnostic use, e.g. running the recursions at sizes where the pmf
     constraint cannot hold; the resulting masses are then formal weights.
     """
+    n = _size(n)
     if not unchecked:
         report = validate(a, b, p, n)
         if not report.passed:
@@ -218,9 +231,5 @@ def make_instance(
             # the support triple is ordered n > b > 0: the size value must
             # dominate, otherwise the law of the maximum degenerates
             raise ParameterError(f"need b < n for an ordered support, got b={b}, n={n}")
-        inst = InstanceParams(a=float(a), b=float(b), p=float(p), n=n)
-    else:
-        if not isinstance(n, int) or n < 1:
-            raise ParameterError(f"n must be a positive integer, got {n!r}")
-        inst = InstanceParams(a=float(a), b=float(b), p=float(p), n=n, validated=False)
+    inst = InstanceParams(a=float(a), b=float(b), p=float(p), n=n, validated=not unchecked)
     return inst, inst.distribution()

@@ -169,10 +169,6 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _acceptance_index(table: np.ndarray, value: float, n: int) -> int:
-    return _first_crossing(table, value, n)
-
-
 def _reduce_reports(
     trials: int, seed: int, sums: list[float], sumsqs: list[float], hist: np.ndarray
 ) -> SimulationReport:
@@ -223,11 +219,11 @@ def simulate_policy(
     # First step from which each support value is accepted, before/after the
     # constant's slot; the walk only needs these because the tables are
     # monotone, so "value >= table[k]" is exactly "k >= first crossing".
-    acc_top_after = _acceptance_index(tables.phi, nv, n)
-    acc_top_before = _acceptance_index(tables.phibar, nv, n)
-    acc_b_after = _acceptance_index(tables.phi, b, n)
-    acc_b_before = _acceptance_index(tables.phibar, b, n)
-    acc_a = _acceptance_index(tables.phi, a, n)
+    acc_top_after = _first_crossing(tables.phi, nv, n)
+    acc_top_before = _first_crossing(tables.phibar, nv, n)
+    acc_b_after = _first_crossing(tables.phi, b, n)
+    acc_b_before = _first_crossing(tables.phibar, b, n)
+    acc_a = _first_crossing(tables.phi, a, n)
 
     seed = int(seed)
     sums: list[float] = []

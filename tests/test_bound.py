@@ -1,11 +1,12 @@
+import numpy as np
 import pytest
 
+import rostop.bound
 from rostop import (
     BracketError,
     CertificationError,
     HardnessBound,
     MaxIterationsError,
-    bisect_qprime,
     certify,
     gambler_prophet_ratio,
     hardness_bound,
@@ -14,7 +15,7 @@ from rostop import (
     q_eval,
     validate,
 )
-from rostop.bound import _bisect, _maximise_q
+from rostop.bound import _bisect, _maximise_q, _qprime_sup
 
 from conftest import REF_PARAMS
 
@@ -42,10 +43,10 @@ def test_bisect_halving_geometry():
     assert half_width * 2.0 <= 1e-10 + abs(root) * 0.0
 
 
-def test_bisect_qprime_reproduces_certified_root():
-    nu_hat, iterations = bisect_qprime(*REF_PARAMS)
-    assert abs(nu_hat - 0.211231196923) < 1e-12
-    assert 35 <= iterations <= 60
+def test_bisection_reproduces_certified_root():
+    hb = hardness_bound(*REF_PARAMS)
+    assert abs(hb.nu_hat - 0.211231196923) < 1e-12
+    assert 35 <= hb.iterations <= 60
 
 
 def test_bisection_preserves_bracket():
@@ -64,7 +65,7 @@ def test_bisection_preserves_bracket():
             lo = mid
         else:
             hi = mid
-    assert mid == bisect_qprime(*REF_PARAMS)[0]
+    assert mid == hardness_bound(*REF_PARAMS).nu_hat
 
 
 def test_hardness_bound_reference_values():
@@ -138,7 +139,7 @@ def test_certificate_interior():
     assert cert.qprime_sup < 1.0
     assert cert.q_error_bound <= cert.nu_error_bound == hb.nu_error_bound
     assert cert.qprime_convex
-    assert cert.grid_points == 100_000
+    assert cert.grid_points == 2
     assert not cert.trivially_exact
 
 
@@ -170,7 +171,45 @@ def test_certificate_rejects_inflated_error_claim():
         xtol=10.0,
     )
     with pytest.raises(CertificationError):
-        certify(worse)  # |q'| reaches 1 on so wide an interval
+        certify(worse)  # so wide an interval leaves [mu*, lambda*]
+
+
+def test_qprime_sup_dominates_sampled_qprime():
+    axis = lambda lo, step: [lo + i * step for i in range(4)]
+    points = [REF_PARAMS] + [
+        (a, b, p)
+        for a in axis(0.75, 0.03)
+        for b in axis(1.2, 0.03)
+        for p in axis(0.4, 0.03)
+        if validate(a, b, p).passed
+    ]
+    assert len(points) > 20
+    for a, b, p in points:
+        hb = hardness_bound(a, b, p)
+        assert hb.case == "interior"
+        lo, hi = hb.nu_hat - hb.nu_error_bound, hb.nu_hat + hb.nu_error_bound
+        sup = _qprime_sup(a, b, p, hb.lambda_star, hb.mu_star, lo, hi)
+        # independent sample of q' on the bracket, through its simplified form
+        nu = np.linspace(lo, hi, 10_001)
+        q1 = 1.0 - nu + ((1.0 + b * p) * (nu - hb.lambda_star) - a) * np.exp(p * (nu - 1.0))
+        assert float(np.max(np.abs(q1))) <= sup < 1.0
+        assert certify(hb).qprime_sup == sup
+        assert hb.q_error_bound == sup * hb.nu_error_bound <= hb.nu_error_bound
+
+
+def test_certificate_rejects_nonconvex_qprime(monkeypatch):
+    hb = hardness_bound(*REF_PARAMS)
+    real = rostop.bound.q_derivatives
+
+    def negative_third(*args):
+        q1, q2, q3 = real(*args)
+        return q1, q2, -q3
+
+    monkeypatch.setattr(rostop.bound, "q_derivatives", negative_third)
+    with pytest.raises(CertificationError):
+        certify(hb)
+    with pytest.raises(CertificationError):
+        hardness_bound(*REF_PARAMS)
 
 
 def test_bound_json_fields():

@@ -82,6 +82,21 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg), "--p", "0.2"]) == 1
 
 
+def test_config_rejects_non_integral_n(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("a = 0.789\nb = 1.24\np = 0.421\nn = 1.5\n")
+    assert main(["dp", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "n must be an integer" in err and "1.5" in err
+
+
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("a = 0.789\nb = 1.24\np = 0.421\nbogus = 3\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
 def test_figure_csv(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     assert main(["figure", *ABP, "--n", "100", "--out", str(out), "--stride", "7"]) == 0

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,25 @@ def test_bad_n_rejected():
         validate(*REF_PARAMS, 2.5)
     with pytest.raises(ParameterError):
         make_instance(*REF_PARAMS, 0, unchecked=True)
+
+
+def test_numpy_integer_n_accepted_as_python_int():
+    assert validate(*REF_PARAMS, np.int64(1000)) == validate(*REF_PARAMS, 1000)
+    for unchecked in (False, True):
+        inst, dist = make_instance(*REF_PARAMS, np.int64(10**6), unchecked=unchecked)
+        assert type(inst.n) is int and inst.n == 10**6
+        assert dist.masses[0] == 1e-12
+    inst, _ = make_instance(*REF_PARAMS, np.uint32(100))
+    assert type(inst.n) is int
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), 1000.0, np.float64(1000.0), "1000"])
+def test_non_integer_n_rejected(bad):
+    with pytest.raises(ParameterError):
+        validate(*REF_PARAMS, bad)
+    for unchecked in (False, True):
+        with pytest.raises(ParameterError):
+            make_instance(*REF_PARAMS, bad, unchecked=unchecked)
 
 
 def test_report_json_schema():
