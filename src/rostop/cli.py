@@ -41,6 +41,13 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _read_config(path: str) -> dict[str, float]:
     values: dict[str, float] = {}
     for raw in Path(path).read_text().splitlines():
@@ -127,7 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, help="cross-check the best point at this size")
     sp.add_argument("--refine", type=int, default=0, metavar="ROUNDS")
     sp.add_argument("--shrink", type=float, default=2.0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_positive_int, default=1,
+                    help="worker processes, at most the CPU count and the grid size")
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("figure", help="emit the future-reward curves as CSV")

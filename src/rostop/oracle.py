@@ -15,7 +15,11 @@ Monte Carlo simulators are reproducible by construction: trials are cut
 into fixed batches of ``TRIALS_PER_BATCH`` and batch ``i`` of run ``seed``
 draws from a counter-based Philox stream with key ``(seed, i)``, so results
 do not depend on scheduling; per-batch partial sums are reduced in a fixed
-order.  The policy simulator walks each trial forward and accepts the first
+order.  Both simulators share that batch loop, whose first draw in each
+batch is the constant's slot per trial.  The prophet simulator then takes
+two geometric draws per trial, the index of the first top value and, given
+none, the index of the first ``b``, so its cost does not grow with ``n``.
+The policy simulator walks each trial forward and accepts the first
 value at least as large as the applicable future reward (``>=``, matching
 the collapsed tables).  Zero values are never accepted before the forced
 final step (future rewards are positive), so the walk advances by jumping
@@ -28,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -169,9 +173,31 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _reduce_reports(
-    trials: int, seed: int, sums: list[float], sumsqs: list[float], hist: np.ndarray
+def _run_batches(
+    n: int,
+    trials: int,
+    seed: int,
+    draw: Callable[[np.random.Generator, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> SimulationReport:
+    """Run ``draw(rng, pos_a) -> (reward, stop)`` batch by batch and reduce.
+
+    Each batch first draws the constant's slot ``pos_a`` (uniform on the
+    ``n+1`` positions) for its trials, then hands its stream to ``draw``.
+    """
+    seed = int(seed)
+    sums: list[float] = []
+    sumsqs: list[float] = []
+    hist = np.zeros(n + 2, dtype=np.int64)
+    n_batches = (trials + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
+    for batch in range(n_batches):
+        m = min(TRIALS_PER_BATCH, trials - batch * TRIALS_PER_BATCH)
+        rng = _batch_rng(seed, batch)
+        pos_a = rng.integers(1, n + 2, size=m, dtype=np.int64)
+        reward, stop = draw(rng, pos_a)
+        sums.append(float(reward.sum()))
+        sumsqs.append(float(np.square(reward).sum()))
+        np.add.at(hist, stop, 1)
+
     total = float(np.sum(np.asarray(sums)))
     total_sq = float(np.sum(np.asarray(sumsqs)))
     mean = total / trials
@@ -180,7 +206,8 @@ def _reduce_reports(
         std_error = math.sqrt(var / trials)
     else:
         std_error = 0.0
-    histogram = {int(step): int(cnt) for step, cnt in enumerate(hist) if cnt > 0}
+    steps = np.flatnonzero(hist)
+    histogram = dict(zip(steps.tolist(), hist[steps].tolist()))
     return SimulationReport(
         trials=trials, mean=mean, std_error=std_error, stop_histogram=histogram, seed=seed
     )
@@ -203,13 +230,17 @@ def simulate_policy(
     first value at least as large as the applicable future reward
     (``phibar`` strictly before the constant's slot, ``phi`` after it, the
     constant itself against ``phi`` at its own slot); whatever arrives at
-    step ``n+1`` is accepted.  Tables must be positive (``+inf`` entries are
-    allowed and model "never accept before the end").
+    step ``n+1`` is accepted.  Tables must be positive and nonincreasing in
+    ``k`` (``+inf`` entries are allowed and model "never accept before the
+    end").
     """
     _require_simulatable(inst, trials)
     n = inst.n
-    if not (np.all(tables.phi[1:] > 0.0) and np.all(tables.phibar[1:] > 0.0)):
-        raise ValueError("future-reward tables must be positive")
+    for table in (tables.phi, tables.phibar):
+        if not np.all(table[1:] > 0.0):
+            raise ValueError("future-reward tables must be positive")
+        if not np.all(table[2:] <= table[1:-1]):
+            raise ValueError("future-reward tables must be nonincreasing in k")
     a, b = inst.a, inst.b
     nv = float(n)
     w_top, w_mid, w_zero = inst.distribution().masses
@@ -225,18 +256,9 @@ def simulate_policy(
     acc_b_before = _first_crossing(tables.phibar, b, n)
     acc_a = _first_crossing(tables.phi, a, n)
 
-    seed = int(seed)
-    sums: list[float] = []
-    sumsqs: list[float] = []
-    hist = np.zeros(n + 2, dtype=np.int64)
-
-    n_batches = (trials + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
-    for batch in range(n_batches):
-        m = min(TRIALS_PER_BATCH, trials - batch * TRIALS_PER_BATCH)
-        rng = _batch_rng(seed, batch)
-        pos_a = rng.integers(1, n + 2, size=m, dtype=np.int64)
+    def walk(rng: np.random.Generator, pos_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = pos_a.size
         a_slot = np.where(pos_a >= acc_a, pos_a, _NEVER)
-
         reward = np.zeros(m)
         stop = np.zeros(m, dtype=np.int64)
         jcur = np.zeros(m, dtype=np.int64)  # V-draws consumed so far
@@ -279,71 +301,38 @@ def simulate_policy(
             cont = ev_idx[~accepted]
             jcur[cont] = jnext[ev_mask][~accepted]
             alive = cont
+        return reward, stop
 
-        sums.append(float(reward.sum()))
-        sumsqs.append(float(np.square(reward).sum()))
-        hist += np.bincount(stop, minlength=n + 2)
-
-    return _reduce_reports(trials, seed, sums, sumsqs, hist)
+    return _run_batches(n, trials, seed, walk)
 
 
 def simulate_prophet(inst: InstanceParams, trials: int, seed: int) -> SimulationReport:
     """Mean of the maximum over freshly sampled instance realisations.
 
-    Values are drawn through the uniform representation ``u -> value`` (a
-    nonincreasing step map), so the row maximum equals the map applied to
-    the row minimum; the recorded step is the arrival slot of the first
-    occurrence of the maximum.
+    Two geometric draws per trial replace the ``n`` values of ``V``: the
+    index of the first top value ``n`` is ``Geometric(w_top)``, and, given
+    no top value among the ``n`` draws, each draw is ``b`` with probability
+    ``w_mid / (1 - w_top)``, so the index of the first ``b`` is geometric
+    with that parameter.  The maximum is ``n`` if the first is at most
+    ``n``, else ``b`` if the second is, else the constant ``a``.  The
+    recorded step is the arrival slot of the first occurrence of the
+    maximum.
     """
     _require_simulatable(inst, trials)
     n = inst.n
     a, b = inst.a, inst.b
     nv = float(n)
     w_top, w_mid, _ = inst.distribution().masses
-    c_top = w_top
-    c_mid = w_top + w_mid
+    p_mid = w_mid / (1.0 - w_top)
 
-    seed = int(seed)
-    sums: list[float] = []
-    sumsqs: list[float] = []
-    hist = np.zeros(n + 2, dtype=np.int64)
-    rows_per_chunk = max(1, (1 << 22) // n)
+    def draw(rng: np.random.Generator, pos_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        first_top = rng.geometric(w_top, size=pos_a.size)
+        first_mid = rng.geometric(p_mid, size=pos_a.size)
+        top = first_top <= n
+        mid = first_mid <= n  # decides only where top is False
+        reward = np.where(top, nv, np.where(mid, b, a))
+        j = np.where(top, first_top, first_mid)
+        stop = np.where(top | mid, j + (j >= pos_a), pos_a)
+        return reward, stop
 
-    n_batches = (trials + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
-    for batch in range(n_batches):
-        m = min(TRIALS_PER_BATCH, trials - batch * TRIALS_PER_BATCH)
-        rng = _batch_rng(seed, batch)
-        pos_a = rng.integers(1, n + 2, size=m, dtype=np.int64)
-
-        reward = np.empty(m)
-        stop = np.empty(m, dtype=np.int64)
-        start = 0
-        while start < m:
-            r = min(rows_per_chunk, m - start)
-            u = rng.random((r, n))
-            row_min = u.min(axis=1)
-            pos_chunk = pos_a[start : start + r]
-
-            sel_top = row_min < c_top
-            sel_mid = (~sel_top) & (row_min < c_mid)
-            sel_const = ~(sel_top | sel_mid)
-
-            vals = np.where(sel_top, nv, np.where(sel_mid, b, a))
-            first = np.zeros(r, dtype=np.int64)
-            if sel_top.any():
-                first[sel_top] = np.argmax(u[sel_top] < c_top, axis=1)
-            if sel_mid.any():
-                first[sel_mid] = np.argmax(u[sel_mid] < c_mid, axis=1)
-            jpos = first + 1
-            slots = jpos + (jpos >= pos_chunk)
-            slots[sel_const] = pos_chunk[sel_const]
-
-            reward[start : start + r] = vals
-            stop[start : start + r] = slots
-            start += r
-
-        sums.append(float(reward.sum()))
-        sumsqs.append(float(np.square(reward).sum()))
-        hist += np.bincount(stop, minlength=n + 2)
-
-    return _reduce_reports(trials, seed, sums, sumsqs, hist)
+    return _run_batches(n, trials, seed, draw)

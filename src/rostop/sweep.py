@@ -15,6 +15,7 @@ then sorted, making serial and parallel output byte-identical.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -131,6 +132,9 @@ def _sort_key(rec: SweepRecord):
 def _evaluate_grid(
     points: list[tuple[float, float, float]], workers: int
 ) -> list[SweepRecord]:
+    # With fork, the pool starts all `max_workers` processes at the first
+    # submit, so never ask for more than there are CPUs or points.
+    workers = min(workers, os.cpu_count() or 1, len(points))
     if workers <= 1:
         return [_evaluate_point(pt) for pt in points]
     with ProcessPoolExecutor(max_workers=workers) as pool:

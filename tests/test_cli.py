@@ -149,6 +149,14 @@ def test_sweep_bad_range_syntax(capsys):
                  "--p", "0.4:0.5:0.1", "--out", "/dev/null"]) == 2
 
 
+def test_sweep_rejects_non_positive_workers(capsys):
+    for workers in ("0", "-1"):
+        assert main(["sweep", "--a", "0.789:0.789:0.01", "--b", "1.24:1.24:0.01",
+                     "--p", "0.421:0.421:0.01", "--workers", workers,
+                     "--out", "/dev/null"]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_sweep_with_refinement_and_cross_check(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -190,6 +190,43 @@ def test_simulation_input_validation():
         simulate_policy(inst, bad_tables, trials=10, seed=1)
 
 
+def test_policy_rejects_non_monotone_tables():
+    # The walk replaces "value >= table[k]" by "k >= first crossing", which
+    # is only the same rule when the tables are nonincreasing in k.
+    inst, _ = make_instance(*REF_PARAMS, 20)
+    tables = compute_thresholds(inst)
+    rising = np.concatenate(([np.nan], np.linspace(0.5, 2.0, 20)))
+    with pytest.raises(ValueError, match="nonincreasing"):
+        simulate_policy(inst, ThresholdTables(n=20, phi=rising, phibar=tables.phibar), 10, 1)
+    with pytest.raises(ValueError, match="nonincreasing"):
+        simulate_policy(inst, ThresholdTables(n=20, phi=tables.phi, phibar=rising), 10, 1)
+
+
+def test_prophet_stop_law_matches_exact_enumeration():
+    # n=3: 4 constant positions x 27 value sequences give the exact law of
+    # the maximum and of the slot of its first occurrence.
+    inst, dist = make_instance(*REF_PARAMS, 3)
+    n = inst.n
+    slot_law = dict.fromkeys(range(1, n + 2), 0.0)
+    exact = 0.0
+    for pos_a in range(1, n + 2):
+        for combo in itertools.product(range(3), repeat=n):
+            prob = math.prod(dist.masses[i] for i in combo) / (n + 1)
+            seq = [dist.support[i] for i in combo]
+            seq.insert(pos_a - 1, inst.a)
+            best = max(seq)
+            slot_law[seq.index(best) + 1] += prob
+            exact += prob * best
+    assert exact == pytest.approx(prophet_exact(inst), abs=1e-12)
+    trials = 400_000
+    report = simulate_prophet(inst, trials=trials, seed=20240812)
+    assert abs(report.mean - exact) <= 4.0 * report.std_error
+    assert set(report.stop_histogram) <= set(slot_law)
+    for slot, prob in slot_law.items():
+        sigma = math.sqrt(prob * (1.0 - prob) / trials)
+        assert abs(report.stop_histogram.get(slot, 0) / trials - prob) <= 4.0 * sigma
+
+
 def test_prophet_simulation_agrees_with_exact_value():
     inst, _ = make_instance(*REF_PARAMS, 200)
     report = simulate_prophet(inst, trials=100_000, seed=5)

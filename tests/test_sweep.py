@@ -90,6 +90,41 @@ def test_feasible_records_revalidate():
         assert validate(rec.a, rec.b, rec.p).passed
 
 
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_worker_count_clamped_to_cpus_and_points(monkeypatch):
+    # No process is started: the pool is replaced by a serial recorder.
+    monkeypatch.setattr("rostop.sweep.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("rostop.sweep.os.cpu_count", lambda: 4)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    serial = run_sweep(BRACKET, workers=1)
+    assert _RecordingPool.sizes == []
+    assert run_sweep(BRACKET, workers=5000) == serial
+    assert run_sweep(BRACKET, workers=3) == serial
+    tiny = SweepSpec(a=(0.789, 0.789, 0.01), b=(1.24, 1.25, 0.01), p=(0.421, 0.421, 0.01))
+    run_sweep(tiny, workers=5000)
+    assert _RecordingPool.sizes == [4, 3, 2]
+    monkeypatch.setattr("rostop.sweep.os.cpu_count", lambda: None)
+    assert run_sweep(tiny, workers=5000) == run_sweep(tiny, workers=1)
+    assert _RecordingPool.sizes == [4, 3, 2]
+
+
 def test_serial_and_parallel_output_identical():
     serial = run_sweep(BRACKET, workers=1)
     parallel = run_sweep(BRACKET, workers=2)
