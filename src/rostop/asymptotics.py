@@ -16,10 +16,11 @@ Contents:
 
 The sandwich inequalities are asymptotic statements, so the diagnostics
 never hard-fail: each check reports its worst margin over the examined
-index range and a pass flag.  The lower bound is an exact identity for the
-recursion on ``k >= j_n`` and the upper bound's true margin at ``k = n-1``
-is ``a/(2n^2)``, so at large sizes both margins sit at the accumulated
-rounding floor of an n-step recursion; the sign test therefore allows
+index range and a pass flag.  The lower bound's tail sums come from one
+cumulative-sum path, exact to a few ulps at every length.  The lower bound
+is an exact identity for the recursion on ``k >= j_n`` and the upper bound's true margin at ``k = n-1`` is
+``a/(2n^2)``, so at large sizes both margins sit at the rounding floor of
+the n-step recursion that built ``phibar``; the sign test therefore allows
 ``SIGN_TOLERANCE`` of float noise.
 """
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import AcceptanceTimes, ThresholdTables
+from .dp import AcceptanceTimes, ThresholdTables, _require_matching_tables
 from .instance import InstanceParams, InfeasibleInstanceError, ParameterError, validate
 
 __all__ = [
@@ -53,11 +54,6 @@ __all__ = [
 # Float-noise allowance for sandwich sign checks; covers ~n*2^-52 recursion
 # drift up to n ~ 10^7 with an order of magnitude to spare.
 SIGN_TOLERANCE = 1e-9
-
-# Tail-sum length below which the lower-bound weights are summed directly;
-# longer tails use the closed form, whose cancellation error is negligible
-# exactly where the direct sum would be long.
-_DIRECT_SUM_CUTOFF = 512
 
 
 class OrderingError(ValueError):
@@ -261,33 +257,17 @@ def k_star(a: float, b: float, p: float, n: int) -> int:
     return math.ceil(n * (1.0 - (2.0 - p) * (b - a)) / (1.0 + p * (b - a)))
 
 
-def _lower_bound_tail_sums(n: int, eps: float, lengths: np.ndarray) -> np.ndarray:
-    """S(L) = sum_{j=0}^{L-1} ((L-j)/(L+1)) * (1-eps)^j for each tail length L.
+def _lower_bound_tail_sums(eps: float, lengths: np.ndarray) -> np.ndarray:
+    """S(L) = sum_{j=0}^{L-1} ((L-j)/(L+1)) * (1-eps)^j for each tail length L >= 1.
 
-    Short tails are summed directly (the closed form cancels catastrophically
-    when L*eps is small); long tails use the closed form, where the direct
-    sum would be the expensive and less accurate route.
+    One path for every length: ``sum_j (L-j) q^j`` is the sum over
+    ``r = 1..L`` of the partial geometric sums ``sum_{j<r} q^j``, so a nested
+    cumulative sum of ``q^j = exp(j * log1p(-eps))`` gives every ``S(L)``
+    from positive terms only, with no cancellation at any ``L * eps``.
     """
-    out = np.empty(lengths.shape, dtype=float)
-
-    small = lengths <= _DIRECT_SUM_CUTOFF
-    if small.any():
-        lmax = int(lengths[small].max())
-        q = 1.0 - eps
-        qpow = np.concatenate(([1.0], np.cumprod(np.full(lmax - 1, q)))) if lmax > 1 else np.ones(1)
-        partial_geom = np.concatenate(([0.0], np.cumsum(qpow)))  # G[r] = sum_{j<r} q^j
-        nested = np.cumsum(partial_geom[1:])  # nested[L-1] = sum_{r=1}^{L} G[r]
-        ls = lengths[small]
-        out[small] = nested[ls - 1] / (ls + 1.0)
-
-    big = ~small
-    if big.any():
-        ls = lengths[big].astype(float)
-        qpow = np.exp(ls * math.log1p(-eps))
-        out[big] = (1.0 - qpow) / eps - (1.0 - qpow * (ls * eps + 1.0)) / (
-            (ls + 1.0) * eps * eps
-        )
-    return out
+    qpow = np.exp(np.arange(int(lengths.max())) * math.log1p(-eps))
+    nested = np.cumsum(np.cumsum(qpow))  # nested[L-1] = sum_{j<L} (L-j) q^j
+    return nested[lengths - 1] / (lengths + 1.0)
 
 
 def verify_bound_sandwich(
@@ -302,10 +282,13 @@ def verify_bound_sandwich(
     * ``ordering``: ``k_n <= kbar_n <= k*``;
     * ``kstar_below_j``: ``k* < j_n``.
 
-    Margins are signed so that nonnegative means the claim holds; the two
-    float-valued checks pass within ``-SIGN_TOLERANCE`` (see module notes),
-    the two integer checks are exact.
+    Margins are signed so that nonnegative means the claim holds.  Both
+    bounds are evaluated to a few ulps, so a negative float margin is the
+    rounding drift of ``phibar``'s own recursion; the two float-valued
+    checks pass within ``-SIGN_TOLERANCE``, the two integer checks are
+    exact.
     """
+    _require_matching_tables(inst, tables)
     n = inst.n
     a, b, p = inst.a, inst.b, inst.p
     checks = []
@@ -315,9 +298,8 @@ def verify_bound_sandwich(
 
     k_lo = max(1, times.k_n - 1)
     if k_lo <= n - 1:
-        ks = np.arange(k_lo, n)
-        tails = (n - ks).astype(np.int64)
-        lower = a + coeff * _lower_bound_tail_sums(n, eps, tails)
+        tails = np.arange(n - k_lo, 0, -1)  # n - k for k = k_lo .. n-1
+        lower = a + coeff * _lower_bound_tail_sums(eps, tails)
         lower_margin = float(np.min(tables.phibar[k_lo:n] - lower))
     else:
         lower_margin = math.inf

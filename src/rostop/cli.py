@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bound import certify, hardness_bound
+from .bound import DEFAULT_RTOL, DEFAULT_XTOL, certify, hardness_bound
 from .dp import (
     acceptance_times,
     compute_thresholds,
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_abp(sp, with_n: bool, n_required: bool = True):
+    def add_abp(sp, with_n: bool):
         sp.add_argument("--a", type=float, help="constant value in (0, 1)")
         sp.add_argument("--b", type=float, help="nontrivial value, > 1")
         sp.add_argument("--p", type=float, help="mass scale, > 0")
@@ -115,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bound", help="certified hardness bound M(a,b,p)")
     add_abp(sp, with_n=False)
-    sp.add_argument("--xtol", type=float, default=1e-13)
-    sp.add_argument("--rtol", type=float, default=1e-14)
+    sp.add_argument("--xtol", type=float, default=DEFAULT_XTOL)
+    sp.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("simulate", help="seeded Monte Carlo of the optimal rule")

@@ -37,7 +37,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .asymptotics import ConsistencyError
-from .dp import ThresholdTables, _first_crossing
+from .dp import ThresholdTables, _first_crossing, acceptance_times
 from .instance import InstanceParams
 
 __all__ = [
@@ -230,9 +230,9 @@ def simulate_policy(
     first value at least as large as the applicable future reward
     (``phibar`` strictly before the constant's slot, ``phi`` after it, the
     constant itself against ``phi`` at its own slot); whatever arrives at
-    step ``n+1`` is accepted.  Tables must be positive and nonincreasing in
-    ``k`` (``+inf`` entries are allowed and model "never accept before the
-    end").
+    step ``n+1`` is accepted.  Tables must be built for ``inst.n``, positive
+    and nonincreasing in ``k`` (``+inf`` entries are allowed and model
+    "never accept before the end").
     """
     _require_simulatable(inst, trials)
     n = inst.n
@@ -250,11 +250,11 @@ def simulate_policy(
     # First step from which each support value is accepted, before/after the
     # constant's slot; the walk only needs these because the tables are
     # monotone, so "value >= table[k]" is exactly "k >= first crossing".
+    # acceptance_times also rejects tables built for another size.
+    times = acceptance_times(tables, inst)
     acc_top_after = _first_crossing(tables.phi, nv, n)
     acc_top_before = _first_crossing(tables.phibar, nv, n)
-    acc_b_after = _first_crossing(tables.phi, b, n)
-    acc_b_before = _first_crossing(tables.phibar, b, n)
-    acc_a = _first_crossing(tables.phi, a, n)
+    acc_b_after, acc_b_before, acc_a = times.k_n, times.kbar_n, times.j_n
 
     def walk(rng: np.random.Generator, pos_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = pos_a.size

@@ -241,15 +241,15 @@ def test_k_star_requires_condition_ii():
         k_star(0.1, 1.9, 0.2, 1000)
 
 
-def test_tail_sums_hybrid_matches_naive():
-    # Exercise both the direct branch (short tails) and the closed form
-    # (long tails) against a literal double loop.
+def test_tail_sums_match_naive():
+    # Short tails, tails around 512 and the longest tail n - 1 against a
+    # literal double loop.
     n = 2000
     a, b, p = REF_PARAMS
     eps = p / n + 1.0 / (n * n)
     q = 1.0 - eps
     lengths = np.array([1, 2, 3, 50, 511, 512, 513, 700, 1999])
-    got = _lower_bound_tail_sums(n, eps, lengths)
+    got = _lower_bound_tail_sums(eps, lengths)
     for length, value in zip(lengths, got):
         naive = sum(
             (length - j) / (length + 1.0) * q**j for j in range(int(length))
@@ -265,6 +265,15 @@ def test_sandwich_passes_at_n_1e4(ref_dp):
         "lower_bound", "upper_bound", "ordering", "kstar_below_j",
     }
     assert report.check("upper_bound").worst_margin > 0.0
+
+
+def test_sandwich_lower_margin_at_rounding_floor_at_n_1e6(ref_dp):
+    # The tail sums are exact to a few ulps, so the worst lower-bound margin
+    # is the recursion's own drift, far inside SIGN_TOLERANCE.
+    inst, tables, times = ref_dp.get(10**6)
+    report = verify_bound_sandwich(inst, tables, times)
+    assert report.passed
+    assert report.check("lower_bound").worst_margin >= -1e-13
 
 
 def test_sandwich_upper_bound_base_case(ref_dp):

@@ -15,7 +15,9 @@ from rostop import (
     optimal_value,
     phi_closed_form,
     prophet_exact,
+    simulate_policy,
     validate,
+    verify_bound_sandwich,
     write_threshold_csv,
 )
 
@@ -205,6 +207,30 @@ def test_backward_pass_bit_reproducible():
     t2 = compute_thresholds(inst)
     assert np.array_equal(t1.phi[1:], t2.phi[1:])
     assert np.array_equal(t1.phibar[1:], t2.phibar[1:])
+
+
+_TABLE_CONSUMERS = {
+    "acceptance_times": lambda inst, tables: acceptance_times(tables, inst),
+    "optimal_value": optimal_value,
+    "gambler_prophet_ratio": gambler_prophet_ratio,
+    "simulate_policy": lambda inst, tables: simulate_policy(inst, tables, 1000, 1),
+    "verify_bound_sandwich": lambda inst, tables: verify_bound_sandwich(
+        inst, tables, acceptance_times(compute_thresholds(inst), inst)
+    ),
+}
+
+
+@pytest.mark.parametrize("mismatch", ["other_n", "short_arrays"])
+@pytest.mark.parametrize("consumer", sorted(_TABLE_CONSUMERS))
+def test_tables_for_another_size_rejected(consumer, mismatch):
+    # n = 20 tables read against an n = 100 instance would silently define
+    # another stopping rule; also when only the arrays are of the wrong size.
+    inst = _ref_instance(100)
+    small = compute_thresholds(_ref_instance(20))
+    if mismatch == "short_arrays":
+        small = ThresholdTables(n=100, phi=small.phi, phibar=small.phibar)
+    with pytest.raises(ValueError, match="tables do not match the instance"):
+        _TABLE_CONSUMERS[consumer](inst, small)
 
 
 def test_tables_are_read_only(ref_dp):

@@ -5,6 +5,7 @@ arithmetic and bounds the double-precision drift.  This is the quantitative
 backing for treating ~1e-12 discrepancies as rounding noise elsewhere.
 """
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -16,6 +17,7 @@ from rostop import (
     phi_closed_form,
     prophet_exact,
 )
+from rostop.asymptotics import _lower_bound_tail_sums
 
 from conftest import REF_PARAMS
 
@@ -77,6 +79,25 @@ def test_closed_form_drift_at_large_n():
     for i in (10, 2500, n // 2, n - 1, n):
         exact = (1 + b * p) / n * (1 - q ** (n - i + 1)) / eps
         assert phi_closed_form(inst, i) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_lower_bound_tail_sums_at_large_n():
+    # S(L) = sum_{j<L} (L-j) q^j / (L+1) in closed form at 40 digits (its
+    # cancellation costs at most ~13 of them here) against the float path
+    # at the sandwich's own eps.  Lengths just past 512 are where the same
+    # closed form in float64 loses 4.6e-9.
+    mp.dps = 40
+    n = 10**6
+    p = REF_PARAMS[2]
+    eps_f = p / n + 1.0 / (n * n)
+    eps = mpf(eps_f)
+    q = 1 - eps
+    lengths = [1, 2, 513, 600, 5000, 10**5, n - 2252]
+    got = _lower_bound_tail_sums(eps_f, np.array(lengths))
+    for length, value in zip(lengths, got):
+        qn = q**length
+        exact = (1 - qn) / eps - (1 - qn * (length * eps + 1)) / ((length + 1) * eps**2)
+        assert value == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_prophet_exact_drift_at_large_n():
