@@ -24,7 +24,7 @@ from .dp import (
     phi_closed_form,
     write_threshold_csv,
 )
-from .prophet import ProphetValue, prophet_exact, prophet_limit, prophet_value
+from .prophet import prophet_exact, prophet_limit
 from .asymptotics import (
     AsymptoticProfile,
     ConsistencyError,

@@ -175,6 +175,14 @@ def q_derivatives(
     return q1, q2, q3
 
 
+def _require_matching_times(inst: InstanceParams, times: AcceptanceTimes) -> None:
+    # Times read off tables of another size would place the breakpoints wrongly.
+    if times.n != inst.n:
+        raise ValueError(
+            f"acceptance times do not match the instance: times.n={times.n}, instance n={inst.n}"
+        )
+
+
 def _require_ordering(times: AcceptanceTimes) -> None:
     if not times.k_n <= times.kbar_n <= times.j_n:
         raise OrderingError(
@@ -191,6 +199,7 @@ def conditional_expectation_asymptotic(
     all O(1/n) corrections are dropped.  Requires the eventual ordering
     ``k_n <= kbar_n <= j_n``.
     """
+    _require_matching_times(inst, times)
     _require_ordering(times)
     n = inst.n
     if not 1 <= i <= n + 1:
@@ -220,6 +229,7 @@ def partial_sums(
     ``q(lambda_n, mu_n, nu_n)``; this identity is re-verified on every call
     to 1e-10 and a violation raises :class:`ConsistencyError`.
     """
+    _require_matching_times(inst, times)
     _require_ordering(times)
     a, b, p = inst.a, inst.b, inst.p
     ib = 1.0 / p + b
@@ -289,6 +299,7 @@ def verify_bound_sandwich(
     exact.
     """
     _require_matching_tables(inst, tables)
+    _require_matching_times(inst, times)
     n = inst.n
     a, b, p = inst.a, inst.b, inst.p
     checks = []

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .asymptotics import ConsistencyError, lambda_mu_star, q_derivatives, q_eval
+from .instance import ParameterError
 from .prophet import prophet_limit
 
 __all__ = [
@@ -220,8 +221,13 @@ def hardness_bound(
 ) -> HardnessBound:
     """Full bound procedure: limits, interval maximum of ``q``, ratio, certificate.
 
-    Deterministic: identical inputs give bit-identical results.
+    Deterministic: identical inputs give bit-identical results.  Raises
+    :class:`ParameterError` when ``xtol`` or ``rtol`` is NaN or negative.
     """
+    if not (xtol >= 0.0 and rtol >= 0.0):
+        raise ParameterError(
+            f"xtol and rtol must be nonnegative numbers, got xtol={xtol!r}, rtol={rtol!r}"
+        )
     prof = lambda_mu_star(a, b, p)
     case, nu_hat, m, iterations, nu_err = _maximise_q(
         a, b, p, prof.lambda_star, prof.mu_star, xtol, rtol

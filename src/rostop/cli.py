@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: validate, dp, bound, simulate, sweep, figure.  Exit codes:
-0 success, 1 infeasible parameters or failed validation, 2 usage error.
+0 success, 1 infeasible parameters or failed validation, 2 usage error
+(including tolerances the bisection cannot meet).
 Parameters may come from flags or from a flat key-value config file
 (``--config``; keys a, b, p, n only, n integral; ``key = value`` lines,
 ``#`` comments); flags win over the file.  All outputs are deterministic
@@ -15,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bound import DEFAULT_RTOL, DEFAULT_XTOL, certify, hardness_bound
+from .bound import DEFAULT_RTOL, DEFAULT_XTOL, MaxIterationsError, certify, hardness_bound
 from .dp import (
     acceptance_times,
     compute_thresholds,
@@ -301,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MaxIterationsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

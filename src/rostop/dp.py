@@ -16,6 +16,8 @@ for ``k < n``,
 where ``x v y = max(x, y)`` and ``E(V v x)`` expands into the three weighted
 terms of the value distribution.  The backward pass is a plain iterative
 loop (no recursion) so sizes of 10^6 and beyond run in O(n) time and memory.
+It runs down to ``k = 0``: ``phibar[0]``, the future reward before the
+first arrival, is the optimal rule's expected reward.
 
 The optimal rule accepts a probed value exactly when it is at least the
 applicable future reward; acceptance on equality is fixed (>=) so runs are
@@ -50,9 +52,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThresholdTables:
-    """Future-reward sequences, 1-indexed: entry ``k`` is valid for ``1 <= k <= n``.
+    """Future-reward sequences indexed by step: entry ``k`` is valid for ``1 <= k <= n``.
 
-    Index 0 is NaN padding so that ``phi[k]`` reads exactly as the math.
+    ``phibar[0]`` is also valid: the value before the first arrival, i.e.
+    the optimal value.  ``phi[0]`` is NaN, since the constant cannot have
+    been seen before any arrival.
     Arrays are read-only; a finished table is safe to share across threads.
     """
 
@@ -80,12 +84,6 @@ class AcceptanceTimes:
     nu_n: float
 
 
-def _ev_max(nv: float, b: float, w_top: float, w_mid: float, w_zero: float, x: float) -> float:
-    # E(V v x) for 0 <= x <= n, expanded into the three weighted terms.
-    # Summation order is fixed: the dominant-mass term w_zero*x is added last.
-    return (w_top * nv + w_mid * (b if b > x else x)) + w_zero * x
-
-
 def compute_thresholds(inst: InstanceParams) -> ThresholdTables:
     """Run the backward pass and return both future-reward tables."""
     n = inst.n
@@ -98,10 +96,11 @@ def compute_thresholds(inst: InstanceParams) -> ThresholdTables:
     pk = phi[n] = (1.0 + b * p) / nv
     pbk = phibar[n] = a
     top = w_top * nv
-    # Scalar-carried loop: pk/pbk hold phi[k+1]/phibar[k+1]. _ev_max is
-    # inlined by hand, with its loop-invariant top term hoisted; the
+    # Scalar-carried loop: pk/pbk hold phi[k+1]/phibar[k+1]. E(V v x) is
+    # expanded into its three weighted terms with the loop-invariant top
+    # term hoisted and the dominant-mass term w_zero*x added last; the
     # 10^6-step pass takes about 0.55 s (2-vCPU x86 VM, Python 3.11).
-    for k in range(n - 1, 0, -1):
+    for k in range(n - 1, -1, -1):
         rem = nv + 1.0 - k
         nxt = (top + w_mid * (b if b > pk else pk)) + w_zero * pk
         pbk = (a if a > pk else pk) / rem + (1.0 - 1.0 / rem) * (
@@ -114,7 +113,6 @@ def compute_thresholds(inst: InstanceParams) -> ThresholdTables:
     phi_arr = np.asarray(phi)
     phibar_arr = np.asarray(phibar)
     phi_arr[0] = math.nan
-    phibar_arr[0] = math.nan
     phi_arr.flags.writeable = False
     phibar_arr.flags.writeable = False
     return ThresholdTables(n=n, phi=phi_arr, phibar=phibar_arr)
@@ -156,21 +154,17 @@ def acceptance_times(tables: ThresholdTables, inst: InstanceParams) -> Acceptanc
 
 
 def optimal_value(inst: InstanceParams, tables: ThresholdTables) -> float:
-    """Expected reward of the optimal stopping rule.
+    """Expected reward of the optimal stopping rule: ``phibar[0]``.
 
-    Step-0 expansion: the first arrival is the constant with probability
-    1/(n+1) (then the continuation is ``phi[1]``), otherwise a fresh draw of
-    ``V`` compared against ``phibar[1]``.
+    Step 0 of the backward pass: the first arrival is the constant with
+    probability 1/(n+1), otherwise a fresh draw of ``V``.  Raises
+    ``ValueError`` when ``phibar[0]`` is not finite.
     """
     _require_matching_tables(inst, tables)
-    n = inst.n
-    a, b = inst.a, inst.b
-    nv = float(n)
-    w_top, w_mid, w_zero = inst.distribution().masses
-    phibar_1 = float(tables.phibar[1])
-    phi_1 = float(tables.phi[1])
-    ev = _ev_max(nv, b, w_top, w_mid, w_zero, phibar_1)
-    return max(a, phi_1) / (n + 1.0) + (nv / (n + 1.0)) * ev
+    value = float(tables.phibar[0])
+    if not math.isfinite(value):
+        raise ValueError(f"tables carry no optimal value: phibar[0] = {value!r}")
+    return value
 
 
 def phi_closed_form(inst: InstanceParams, i: int) -> float:

@@ -13,20 +13,10 @@ and its large-size limit is ``1 + b(1-e^{-p}) + a e^{-p}``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .instance import InstanceParams, ParameterError
 
-__all__ = ["ProphetValue", "prophet_exact", "prophet_limit", "prophet_value"]
-
-
-@dataclass(frozen=True)
-class ProphetValue:
-    """Finite-size expectation of the maximum and its large-size limit."""
-
-    exact: float
-    limit: float
-    n: int
+__all__ = ["prophet_exact", "prophet_limit"]
 
 
 def prophet_exact(inst: InstanceParams) -> float:
@@ -54,11 +44,3 @@ def prophet_limit(a: float, b: float, p: float) -> float:
         raise ParameterError("a, b, p must be positive")
     e = math.exp(-p)
     return 1.0 + b * (1.0 - e) + a * e
-
-
-def prophet_value(inst: InstanceParams) -> ProphetValue:
-    return ProphetValue(
-        exact=prophet_exact(inst),
-        limit=prophet_limit(inst.a, inst.b, inst.p),
-        n=inst.n,
-    )

@@ -62,14 +62,16 @@ class SweepSpec:
 
     def __post_init__(self):
         for name, (lo, hi, step) in ("a", self.a), ("b", self.b), ("p", self.p):
+            if not all(map(math.isfinite, (lo, hi, step))):
+                raise ValueError(f"{name}: range must be finite, got {(lo, hi, step)!r}")
             if not lo <= hi:
                 raise ValueError(f"{name}: lo {lo!r} > hi {hi!r}")
             if not step > 0:
                 raise ValueError(f"{name}: step must be positive, got {step!r}")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
-        if not self.shrink > 1.0:
-            raise ValueError("shrink must exceed 1")
+        if not 1.0 < self.shrink < math.inf:
+            raise ValueError(f"shrink must be finite and exceed 1, got {self.shrink!r}")
         total = 1
         for rng in (self.a, self.b, self.p):
             total *= _axis_count(rng)

@@ -6,6 +6,8 @@ import pytest
 
 from rostop import (
     AcceptanceTimes,
+    acceptance_times,
+    compute_thresholds,
     ConsistencyError,
     InfeasibleInstanceError,
     OrderingError,
@@ -177,6 +179,27 @@ def test_case_split_requires_ordering(ref_dp):
         conditional_expectation_asymptotic(inst, bad, 5)
     with pytest.raises(OrderingError):
         partial_sums(inst, bad)
+
+
+_TIMES_CONSUMERS = {
+    "conditional_expectation_asymptotic": lambda inst, tables, times: (
+        conditional_expectation_asymptotic(inst, times, 50)
+    ),
+    "partial_sums": lambda inst, tables, times: partial_sums(inst, times),
+    "verify_bound_sandwich": verify_bound_sandwich,
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(_TIMES_CONSUMERS))
+def test_times_for_another_size_rejected(consumer):
+    # n = 20 acceptance times read against the n = 100 instance would move
+    # every breakpoint; the sandwich reported a spurious kstar_below_j failure.
+    inst, _ = make_instance(*REF_PARAMS, 100)
+    tables = compute_thresholds(inst)
+    small, _ = make_instance(*REF_PARAMS, 20)
+    times = acceptance_times(compute_thresholds(small), small)
+    with pytest.raises(ValueError, match="acceptance times do not match the instance"):
+        _TIMES_CONSUMERS[consumer](inst, tables, times)
 
 
 @pytest.mark.parametrize("n", [10**4, 10**5])

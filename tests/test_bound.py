@@ -7,6 +7,7 @@ from rostop import (
     CertificationError,
     HardnessBound,
     MaxIterationsError,
+    ParameterError,
     certify,
     gambler_prophet_ratio,
     hardness_bound,
@@ -131,6 +132,14 @@ def test_infeasible_parameters_rejected():
 
     with pytest.raises(InfeasibleInstanceError):
         hardness_bound(0.789, 1.24, 0.2)
+
+
+@pytest.mark.parametrize(
+    "tols", [{"xtol": float("nan")}, {"xtol": -1.0}, {"rtol": float("nan")}, {"rtol": -1e-14}]
+)
+def test_hardness_bound_rejects_bad_tolerances(tols):
+    with pytest.raises(ParameterError, match="must be nonnegative"):
+        hardness_bound(*REF_PARAMS, **tols)
 
 
 def test_certificate_interior():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rostop.cli import main
 
 ABP = ["--a", "0.789", "--b", "1.24", "--p", "0.421"]
@@ -147,6 +149,27 @@ def test_sweep_command(tmp_path, capsys):
 def test_sweep_bad_range_syntax(capsys):
     assert main(["sweep", "--a", "0.7:0.8", "--b", "1.2:1.3:0.1",
                  "--p", "0.4:0.5:0.1", "--out", "/dev/null"]) == 2
+
+
+def test_sweep_non_finite_range_exits_two(capsys):
+    assert main(["sweep", "--a", "0.7:inf:0.01", "--b", "1.2:1.3:0.1",
+                 "--p", "0.4:0.5:0.1", "--out", "/dev/null"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "tols, message",
+    [
+        (["--xtol", "0", "--rtol", "0"], "tolerance not reached"),
+        (["--xtol", "nan"], "must be nonnegative"),
+        (["--xtol", "-1"], "must be nonnegative"),
+    ],
+)
+def test_bound_bad_tolerances_exit_two(capsys, tols, message):
+    assert main(["bound", *ABP, *tols]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 def test_sweep_rejects_non_positive_workers(capsys):

@@ -124,6 +124,26 @@ def test_optimal_value_n2_value():
     assert optimal_value(inst, compute_thresholds(inst)) == pytest.approx(1.2532, abs=5e-5)
 
 
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_step_zero_holds_the_optimal_value(n):
+    # The pass runs down to k = 0: phibar[0] is the value before the first
+    # arrival; phi[0] has no meaning, since no arrival has been seen.
+    inst, _ = make_instance(*REF_PARAMS, n, unchecked=(n == 1))
+    tables = compute_thresholds(inst)
+    assert np.isnan(tables.phi[0])
+    assert tables.phibar[0] == optimal_value(inst, tables)
+
+
+def test_optimal_value_needs_finite_step_zero():
+    n = 4
+    inst = _ref_instance(n)
+    arr = np.full(n + 1, np.inf)
+    arr[0] = np.nan
+    arr.flags.writeable = False
+    with pytest.raises(ValueError, match="phibar\\[0\\]"):
+        optimal_value(inst, ThresholdTables(n=n, phi=arr, phibar=arr))
+
+
 def test_ratio_in_unit_interval(ref_dp):
     inst, tables, _ = ref_dp.get(1000)
     ratio = gambler_prophet_ratio(inst, tables)

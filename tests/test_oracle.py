@@ -62,10 +62,9 @@ def test_history_collapse_is_exact_and_matches_tables():
     # depth-n continuation values are the terminal expectations
     assert classes[(n, True)] == {(1.0 + inst.b * inst.p) / n}
     assert classes[(n, False)] == {inst.a}
-    # and every class value agrees with the collapsed tables
+    # and every class value agrees with the collapsed tables, depth 0
+    # (the optimal value) included
     for (depth, seen), vals in classes.items():
-        if depth == 0:
-            continue
         table = tables.phi if seen else tables.phibar
         assert abs(next(iter(vals)) - table[depth]) <= 1e-12
 

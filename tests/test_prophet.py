@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rostop import make_instance, prophet_exact, prophet_limit, prophet_value, validate
+from rostop import make_instance, prophet_exact, prophet_limit, validate
 
 from conftest import REF_PARAMS
 
@@ -54,14 +54,6 @@ def test_gap_to_limit_shrinks_with_n():
         inst, _ = make_instance(*REF_PARAMS, n)
         gaps.append(abs(prophet_exact(inst) - limit))
     assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-
-
-def test_prophet_value_record():
-    inst, _ = make_instance(*REF_PARAMS, 1000)
-    pv = prophet_value(inst)
-    assert pv.n == 1000
-    assert pv.exact == prophet_exact(inst)
-    assert pv.limit == prophet_limit(*REF_PARAMS)
 
 
 def test_exact_requires_dominating_top_value():

@@ -54,6 +54,21 @@ def test_spec_validation():
         SweepSpec(a=(0.1, 0.9, 0.1), b=(1.0, 1.1, 0.1), p=(0.1, 0.2, 0.1), shrink=1.0)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"a": (0.7, float("inf"), 0.01)},
+        {"a": (-float("inf"), 0.8, 0.01)},
+        {"b": (1.0, 1.1, float("inf"))},
+        {"shrink": float("inf")},
+    ],
+)
+def test_spec_rejects_non_finite_values(changes):
+    fields = {"a": (0.1, 0.9, 0.1), "b": (1.0, 1.1, 0.1), "p": (0.1, 0.2, 0.1), **changes}
+    with pytest.raises(ValueError, match="finite"):
+        SweepSpec(**fields)
+
+
 def test_sweep_contains_reference_point_with_reference_bound():
     records = run_sweep(BRACKET)
     assert len(records) == 27
