@@ -2,7 +2,8 @@
 
 Subcommands: validate, dp, bound, simulate, sweep, figure.  Exit codes:
 0 success, 1 infeasible parameters or failed validation, 2 usage error
-(including tolerances the bisection cannot meet).
+(including tolerances the bisection cannot meet and sizes above
+``dp.MAX_TABLE_N`` where tables are built).
 Parameters may come from flags or from a flat key-value config file
 (``--config``; keys a, b, p, n only, n integral; ``key = value`` lines,
 ``#`` comments); flags win over the file.  All outputs are deterministic

@@ -14,10 +14,16 @@ for ``k < n``,
     phibar[k] = (a v phi[k+1])/(n+1-k) + (1 - 1/(n+1-k)) * E(V v phibar[k+1])
 
 where ``x v y = max(x, y)`` and ``E(V v x)`` expands into the three weighted
-terms of the value distribution.  The backward pass is a plain iterative
-loop (no recursion) so sizes of 10^6 and beyond run in O(n) time and memory.
-It runs down to ``k = 0``: ``phibar[0]``, the future reward before the
-first arrival, is the optimal rule's expected reward.
+terms of the value distribution.  Each step is affine in the next entry,
+with coefficients fixed by whether that entry is below ``b``; each table
+crosses ``b`` once, so the pass splits into two constant-regime segments
+per table, each evaluated in closed form with numpy (a geometric sum for
+``phi``, one discounted cumulative sum for ``phibar``) in O(n) time and
+memory.  Instances outside the closed form's domain (formal weights of
+unchecked instances, or a regime that switches back) run the recursion
+step by step instead.  The pass runs down to ``k = 0``: ``phibar[0]``, the
+future reward before the first arrival, is the optimal rule's expected
+reward.  Tables are built up to ``n = MAX_TABLE_N``.
 
 The optimal rule accepts a probed value exactly when it is at least the
 applicable future reward; acceptance on equality is fixed (>=) so runs are
@@ -34,10 +40,11 @@ from typing import IO
 
 import numpy as np
 
-from .instance import InstanceParams
+from .instance import InstanceParams, ParameterError
 from .prophet import prophet_exact
 
 __all__ = [
+    "MAX_TABLE_N",
     "ThresholdTables",
     "AcceptanceTimes",
     "compute_thresholds",
@@ -48,6 +55,13 @@ __all__ = [
     "emit_threshold_curves",
     "write_threshold_csv",
 ]
+
+# Largest size whose tables are built: two float64 arrays of n + 1 entries.
+MAX_TABLE_N = 10**8
+
+# The discounted sums weight step i by (1 - eps)^-i; above this log-weight
+# over n steps they could overflow, and the scalar loop runs instead.
+_MAX_LOG_DISCOUNT = 600.0
 
 
 @dataclass(frozen=True)
@@ -85,7 +99,105 @@ class AcceptanceTimes:
 
 
 def compute_thresholds(inst: InstanceParams) -> ThresholdTables:
-    """Run the backward pass and return both future-reward tables."""
+    """Run the backward pass and return both future-reward tables.
+
+    Raises :class:`ParameterError` when ``n`` exceeds :data:`MAX_TABLE_N`,
+    before anything is allocated.
+    """
+    _require_table_size(inst.n)
+    phi, phibar = _closed_form_tables(inst) or _backward_loop(inst)
+    phi[0] = math.nan
+    phi.flags.writeable = False
+    phibar.flags.writeable = False
+    return ThresholdTables(n=inst.n, phi=phi, phibar=phibar)
+
+
+def _require_table_size(n: int) -> None:
+    if n > MAX_TABLE_N:
+        raise ParameterError(
+            f"n = {n} exceeds MAX_TABLE_N = {MAX_TABLE_N}: the tables hold n + 1 floats each"
+        )
+
+
+def _geometric(x0, eps, terms):
+    # x0 * sum_{i < terms} (1 - eps)^i, elementwise over an array of terms.
+    return x0 * -np.expm1(terms * np.log1p(-eps)) / eps
+
+
+def _first(flags: np.ndarray) -> int:
+    # Index of the first True entry, or len(flags) when there is none.
+    i = int(flags.argmax())
+    return i if flags[i] else flags.size
+
+
+def _discounted_sums(g0: float, rate: float, u: np.ndarray) -> np.ndarray:
+    # G_i = beta^i * (g0 + sum_{l <= i} beta^-l * u_l) for i = 1..len(u) and
+    # beta = 1 - rate: the recursion G_i = u_i + beta * G_{i-1} as one
+    # cumulative sum.  On feasible instances every term is positive, so the
+    # sum does not cancel.
+    w = np.arange(1.0, u.size + 1.0)
+    w *= -math.log1p(-rate)
+    np.exp(w, out=w)
+    s = u * w
+    np.cumsum(s, out=s)
+    s += g0
+    s /= w
+    return s
+
+
+def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] | None:
+    """Both tables from the closed forms of their constant-regime segments.
+
+    Indexed by ``m = n - k``.  While ``phi[k+1] < b`` the step is
+    ``phi[k] = x0 + (1 - eps) * phi[k+1]``, a geometric sum; from the first
+    ``m`` where ``phi`` reaches ``b`` it is ``phi[k] = top + (1 - w_top) *
+    phi[k+1]``, which relaxes geometrically to its fixed point ``n``.  With
+    ``g[k] = (n+1-k) * phibar[k]`` the ``phibar`` step is affine in ``g``,
+    ``g[k] = (a v phi[k+1]) + (n-k) * c + beta * g[k+1]``, with ``(c, beta)``
+    equal to ``(x0, 1 - eps)`` while ``phibar[k+1] < b`` and ``(top, 1 -
+    w_top)`` after, so each segment is one discounted cumulative sum.  The
+    regime switches are read off the computed values with the loop's own
+    comparison (``b > x`` is the low regime).  Returns ``None`` where the
+    rates are not in (0, 1), the discount over ``n`` steps would overflow,
+    or a regime flag flips back after its switch: the scalar loop handles
+    those instances.
+    """
+    n = inst.n
+    a, b, p = inst.a, inst.b, inst.p
+    w_top = inst.distribution().masses[0]
+    eps = p / n + 1.0 / (n * n)
+    if not (0.0 < eps < 1.0 and 0.0 < w_top < 1.0) or -n * math.log1p(-eps) > _MAX_LOG_DISCOUNT:
+        return None
+    x0 = (1.0 + b * p) / n
+    top = w_top * n
+    rem = np.arange(1.0, n + 2.0)  # m + 1 = n + 1 - k
+
+    phi = _geometric(x0, eps, rem)
+    phi[0] = x0
+    m1 = _first(~(b > phi[:n]))
+    if m1 < n:
+        x_star = phi[m1]
+        phi[m1 + 1:] = x_star + (n - x_star) * -np.expm1(rem[:n - m1] * math.log1p(-w_top))
+        if (b > phi[m1:n]).any():
+            return None
+
+    u = np.maximum(a, phi[:n])
+    g = np.empty(n + 1)
+    g[0] = a
+    g[1:] = _discounted_sums(a, eps, rem[:n] * x0 + u)
+    phibar = g / rem
+    m2 = _first(~(b > phibar[:n]))
+    if m2 < n:
+        u[m2:] += rem[m2:n] * top
+        g[m2 + 1:] = _discounted_sums(g[m2], w_top, u[m2:])
+        phibar[m2 + 1:] = g[m2 + 1:] / rem[m2 + 1:]
+        if (b > phibar[m2:n]).any():
+            return None
+    return phi[::-1].copy(), phibar[::-1].copy()
+
+
+def _backward_loop(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
+    # The recursion step by step, for instances without a closed form.
     n = inst.n
     a, b, p = inst.a, inst.b, inst.p
     nv = float(n)
@@ -96,10 +208,8 @@ def compute_thresholds(inst: InstanceParams) -> ThresholdTables:
     pk = phi[n] = (1.0 + b * p) / nv
     pbk = phibar[n] = a
     top = w_top * nv
-    # Scalar-carried loop: pk/pbk hold phi[k+1]/phibar[k+1]. E(V v x) is
-    # expanded into its three weighted terms with the loop-invariant top
-    # term hoisted and the dominant-mass term w_zero*x added last; the
-    # 10^6-step pass takes about 0.55 s (2-vCPU x86 VM, Python 3.11).
+    # pk/pbk hold phi[k+1]/phibar[k+1]; E(V v x) is expanded into its three
+    # weighted terms with the dominant-mass term w_zero*x added last.
     for k in range(n - 1, -1, -1):
         rem = nv + 1.0 - k
         nxt = (top + w_mid * (b if b > pk else pk)) + w_zero * pk
@@ -109,13 +219,7 @@ def compute_thresholds(inst: InstanceParams) -> ThresholdTables:
         pk = nxt
         phi[k] = pk
         phibar[k] = pbk
-
-    phi_arr = np.asarray(phi)
-    phibar_arr = np.asarray(phibar)
-    phi_arr[0] = math.nan
-    phi_arr.flags.writeable = False
-    phibar_arr.flags.writeable = False
-    return ThresholdTables(n=n, phi=phi_arr, phibar=phibar_arr)
+    return np.asarray(phi), np.asarray(phibar)
 
 
 def _require_matching_tables(inst: InstanceParams, tables: ThresholdTables) -> None:
@@ -130,9 +234,7 @@ def _require_matching_tables(inst: InstanceParams, tables: ThresholdTables) -> N
 
 def _first_crossing(table: np.ndarray, value: float, n: int) -> int:
     # min{k in [1, n]: value >= table[k]}, or n+1 when the set is empty.
-    hits = table[1:] <= value
-    i = int(hits.argmax())
-    return i + 1 if hits[i] else n + 1
+    return 1 + _first(table[1:] <= value)
 
 
 def acceptance_times(tables: ThresholdTables, inst: InstanceParams) -> AcceptanceTimes:
@@ -168,7 +270,7 @@ def optimal_value(inst: InstanceParams, tables: ThresholdTables) -> float:
 
 
 def phi_closed_form(inst: InstanceParams, i: int) -> float:
-    """O(1) geometric closed form of ``phi[i]``.
+    """O(1) geometric closed form of ``phi[i]``, as the backward pass evaluates it.
 
     Valid as an identity for the recursion wherever every step below ``i``
     compares ``b`` against a future reward not exceeding ``b``; that holds on
@@ -178,13 +280,10 @@ def phi_closed_form(inst: InstanceParams, i: int) -> float:
     n = inst.n
     if not 1 <= i <= n:
         raise IndexError(f"index {i} out of range [1, {n}]")
-    eps = inst.p / n + 1.0 / (n * n)
-    m = n - i + 1
-    if m == 1:
-        geom = 1.0  # single-term sum, exact
-    else:
-        geom = -math.expm1(m * math.log1p(-eps)) / eps
-    return (1.0 + inst.b * inst.p) / n * geom
+    x0 = (1.0 + inst.b * inst.p) / n
+    if i == n:
+        return x0  # single-term sum, exact
+    return float(_geometric(x0, inst.p / n + 1.0 / (n * n), n - i + 1))
 
 
 def gambler_prophet_ratio(inst: InstanceParams, tables: ThresholdTables | None = None) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .bound import hardness_bound
-from .dp import compute_thresholds, gambler_prophet_ratio
+from .dp import _require_table_size, compute_thresholds, gambler_prophet_ratio
 from .instance import make_instance, validate
 
 __all__ = [
@@ -47,8 +47,8 @@ class SweepSizeError(ValueError):
 class SweepSpec:
     """Axis ranges ``(lo, hi, step)`` plus refinement controls.
 
-    ``n`` optionally names a size at which the best points can be
-    cross-checked against the finite-size program (see
+    ``n`` optionally names a size, at most ``MAX_TABLE_N``, at which the
+    best points can be cross-checked against the finite-size program (see
     :func:`dp_cross_check`).  ``shrink`` divides both the width and the step
     of every axis once per refinement round.
     """
@@ -72,6 +72,8 @@ class SweepSpec:
             raise ValueError("refine_rounds must be >= 0")
         if not 1.0 < self.shrink < math.inf:
             raise ValueError(f"shrink must be finite and exceed 1, got {self.shrink!r}")
+        if self.n is not None:
+            _require_table_size(self.n)  # before the sweep, not after it
         total = 1
         for rng in (self.a, self.b, self.p):
             total *= _axis_count(rng)

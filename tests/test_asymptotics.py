@@ -24,7 +24,7 @@ from rostop import (
 )
 from rostop.asymptotics import _lower_bound_tail_sums
 
-from conftest import REF_PARAMS
+from conftest import PERTURBED, REF_PARAMS
 
 NU_STAR_12_DIGITS = 0.211231196923
 
@@ -295,6 +295,15 @@ def test_sandwich_lower_margin_at_rounding_floor_at_n_1e6(ref_dp):
     # is the recursion's own drift, far inside SIGN_TOLERANCE.
     inst, tables, times = ref_dp.get(10**6)
     report = verify_bound_sandwich(inst, tables, times)
+    assert report.passed
+    assert report.check("lower_bound").worst_margin >= -1e-13
+
+
+@pytest.mark.parametrize("point", PERTURBED)
+def test_sandwich_lower_margin_at_rounding_floor_perturbed_n_1e6(point):
+    inst, _ = make_instance(*point, 10**6)
+    tables = compute_thresholds(inst)
+    report = verify_bound_sandwich(inst, tables, acceptance_times(tables, inst))
     assert report.passed
     assert report.check("lower_bound").worst_margin >= -1e-13
 

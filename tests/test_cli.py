@@ -172,6 +172,25 @@ def test_bound_bad_tolerances_exit_two(capsys, tols, message):
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dp", *ABP],
+        ["figure", *ABP],
+        ["simulate", *ABP, "--trials", "10", "--seed", "1"],
+        ["sweep", "--a", "0.789:0.789:0.01", "--b", "1.24:1.24:0.01", "--p", "0.421:0.421:0.01"],
+    ],
+)
+def test_table_size_over_cap_exits_two(argv, tmp_path, capsys):
+    # Refused before any table (or, for sweep, any grid point) is computed.
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if argv[0] in ("figure", "sweep") else []
+    assert main([*argv, *extra, "--n", "1000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds MAX_TABLE_N" in err
+    assert not out.exists()
+
+
 def test_sweep_rejects_non_positive_workers(capsys):
     for workers in ("0", "-1"):
         assert main(["sweep", "--a", "0.789:0.789:0.01", "--b", "1.24:1.24:0.01",

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rostop.dp as dp_module
 from rostop import (
+    ParameterError,
     ThresholdTables,
     acceptance_times,
     compute_thresholds,
@@ -20,8 +22,9 @@ from rostop import (
     verify_bound_sandwich,
     write_threshold_csv,
 )
+from rostop.dp import _backward_loop, _closed_form_tables
 
-from conftest import REF_PARAMS
+from conftest import PERTURBED, REF_PARAMS
 
 
 def _ref_instance(n):
@@ -275,3 +278,54 @@ def test_monotonicity_property_small_instances(a, b, p, n):
     assert np.all(np.diff(tables.phibar[1:]) <= 0)
     assert np.all(tables.phi[1:] > 0)
     assert np.all(tables.phibar[1:] <= n)
+
+
+@pytest.mark.parametrize("point", [REF_PARAMS, *PERTURBED])
+def test_closed_form_matches_scalar_loop_at_small_n(point):
+    # The step-by-step loop is the reference for the closed-form segments;
+    # at these sizes both are within a few ulps of the exact recursion.
+    for n in range(2, 65):
+        inst, _ = make_instance(*point, n)
+        closed, loop = _closed_form_tables(inst), _backward_loop(inst)
+        assert closed is not None
+        np.testing.assert_allclose(closed[0][1:], loop[0][1:], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(closed[1], loop[1], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # n = 1: w_top = 1 and eps = 1 + p, no geometric rate in (0, 1)
+        (*REF_PARAMS, 1),
+        # phibar starts at a above b, then falls below b: its flag switches back
+        (5.69, 5.43, 1.53, 3),
+        # (1 - eps)^-n = 10^1000 would overflow the discounted sums, and with
+        # b > n phibar stays in that segment: its entries would read inf
+        (0.789, 2000.0, 900.0, 1000),
+    ],
+)
+def test_scalar_loop_runs_without_closed_form(params):
+    inst, _ = make_instance(*params, unchecked=True)
+    assert _closed_form_tables(inst) is None
+    tables = compute_thresholds(inst)
+    phi, phibar = _backward_loop(inst)
+    assert np.array_equal(tables.phi[1:], phi[1:])
+    assert np.array_equal(tables.phibar, phibar)
+    assert np.isnan(tables.phi[0])
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+@pytest.mark.parametrize("point", [REF_PARAMS, *PERTURBED])
+def test_tables_nonincreasing_at_large_n(point, n):
+    # simulate_policy reads the tables as monotone and rejects them otherwise.
+    inst, _ = make_instance(*point, n)
+    tables = compute_thresholds(inst)
+    assert np.all(tables.phi[2:] <= tables.phi[1:-1])
+    assert np.all(tables.phibar[2:] <= tables.phibar[1:-1])
+
+
+def test_table_size_capped(monkeypatch):
+    monkeypatch.setattr(dp_module, "MAX_TABLE_N", 10)
+    assert compute_thresholds(_ref_instance(10)).n == 10
+    with pytest.raises(ParameterError, match="MAX_TABLE_N = 10"):
+        compute_thresholds(_ref_instance(11))

@@ -1,8 +1,9 @@
 """High-precision cross-checks of the float64 numerics.
 
-Re-runs the backward recursion and the maximum's expectation in 50-digit
-arithmetic and bounds the double-precision drift.  This is the quantitative
-backing for treating ~1e-12 discrepancies as rounding noise elsewhere.
+Re-runs the backward recursion and the maximum's expectation in 30- to
+50-digit arithmetic and bounds the double-precision drift.  This is the
+quantitative backing for treating ~1e-12 discrepancies as rounding noise
+elsewhere.
 """
 
 import numpy as np
@@ -19,15 +20,15 @@ from rostop import (
 )
 from rostop.asymptotics import _lower_bound_tail_sums
 
-from conftest import REF_PARAMS
+from conftest import PERTURBED, REF_PARAMS
 
 
 def _mp_params():
     return mpf("0.789"), mpf("1.24"), mpf("0.421")
 
 
-def _mp_tables(n):
-    a, b, p = _mp_params()
+def _mp_tables(n, params=None):
+    a, b, p = params or _mp_params()
     w_top = mpf(1) / (n * n)
     w_mid = p / n
     w_zero = 1 - w_mid - w_top
@@ -35,7 +36,7 @@ def _mp_tables(n):
     phibar = [mpf(0)] * (n + 1)
     phi[n] = (1 + b * p) / n
     phibar[n] = a
-    for k in range(n - 1, 0, -1):
+    for k in range(n - 1, -1, -1):
         rem = mpf(n + 1 - k)
         pk, pbk = phi[k + 1], phibar[k + 1]
         phi[k] = w_top * n + w_mid * max(b, pk) + w_zero * pk
@@ -67,6 +68,21 @@ def test_backward_pass_drift_is_noise_level():
     ev1 = w_top * n + w_mid * max(b, phibar_hp[1]) + w_zero * phibar_hp[1]
     opt_hp = max(a, phi_hp[1]) / (n + 1) + (mpf(n) / (n + 1)) * ev1
     assert opt == pytest.approx(float(opt_hp), rel=1e-14)
+
+
+@pytest.mark.parametrize("point", [REF_PARAMS, *PERTURBED])
+def test_tables_match_30_digit_recursion_at_n_2000(point):
+    # Each closed-form segment rounds a handful of times per entry; a float
+    # loop accumulates 3e-14 to 1e-13 of drift by this size.
+    mp.dps = 30
+    n = 2000
+    inst, _ = make_instance(*point, n)
+    tables = compute_thresholds(inst)
+    phi_hp, phibar_hp = _mp_tables(n, [mpf(x) for x in point])  # exact binary values
+    phi_ref = np.array([float(x) for x in phi_hp[1:]])
+    phibar_ref = np.array([float(x) for x in phibar_hp])
+    np.testing.assert_allclose(tables.phi[1:], phi_ref, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(tables.phibar, phibar_ref, rtol=1e-14, atol=0.0)
 
 
 def test_closed_form_drift_at_large_n():

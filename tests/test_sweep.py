@@ -2,7 +2,9 @@ import io
 
 import pytest
 
+import rostop.dp as dp_module
 from rostop import (
+    ParameterError,
     SweepRecord,
     SweepSizeError,
     SweepSpec,
@@ -67,6 +69,14 @@ def test_spec_rejects_non_finite_values(changes):
     fields = {"a": (0.1, 0.9, 0.1), "b": (1.0, 1.1, 0.1), "p": (0.1, 0.2, 0.1), **changes}
     with pytest.raises(ValueError, match="finite"):
         SweepSpec(**fields)
+
+
+def test_spec_rejects_cross_check_size_over_cap(monkeypatch):
+    monkeypatch.setattr(dp_module, "MAX_TABLE_N", 10)
+    fields = {"a": (0.1, 0.9, 0.1), "b": (1.0, 1.1, 0.1), "p": (0.1, 0.2, 0.1)}
+    assert SweepSpec(**fields, n=10).n == 10
+    with pytest.raises(ParameterError, match="MAX_TABLE_N"):
+        SweepSpec(**fields, n=11)
 
 
 def test_sweep_contains_reference_point_with_reference_bound():
