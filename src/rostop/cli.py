@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dp", help="run the backward induction at size n")
     add_abp(sp, with_n=True)
     sp.add_argument("--thresholds-out", help="write k,phi,phibar CSV here")
-    sp.add_argument("--stride", type=int, default=1)
+    sp.add_argument("--stride", type=_positive_int, default=1)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("bound", help="certified hardness bound M(a,b,p)")
@@ -143,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("figure", help="emit the future-reward curves as CSV")
     add_abp(sp, with_n=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--stride", type=int, default=1)
+    sp.add_argument("--stride", type=_positive_int, default=1)
     return parser
 
 

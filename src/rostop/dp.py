@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -306,7 +307,10 @@ def emit_threshold_curves(
 
 
 def write_threshold_csv(tables: ThresholdTables, stride: int, out: IO[str]) -> None:
-    """CSV emission: header ``k,phi,phibar``, 15 significant digits, LF endings."""
-    out.write("k,phi,phibar\n")
-    for k, ph, pb in emit_threshold_curves(tables, stride):
-        out.write(f"{k},{ph:.15g},{pb:.15g}\n")
+    """CSV emission: header ``k,phi,phibar``, 15 significant digits, LF endings.
+
+    The rows are formatted in one operation and written in one call, and a
+    bad ``stride`` raises before anything is written.
+    """
+    rows = emit_threshold_curves(tables, stride)
+    out.write("k,phi,phibar\n" + "%d,%.15g,%.15g\n" * len(rows) % tuple(chain.from_iterable(rows)))

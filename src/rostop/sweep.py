@@ -7,9 +7,16 @@ checks: the feasible region's boundary is itself informative (the log
 condition is nearly tight at the interesting corner of the space).
 Ranking is ascending in ``M`` because a smaller upper bound is the stronger
 hardness statement; ties break lexicographically on ``(a, b, p)`` and
-infeasible points sort last.  Grid points are independent, so evaluation
-may be spread over worker processes; results are gathered in grid order and
-then sorted, making serial and parallel output byte-identical.
+infeasible points sort last.
+
+The grid is evaluated in contiguous chunks of at most ``_CHUNK`` points.
+Each chunk runs ``validate`` once per point, then bounds its feasible points
+in one batched call (``bound._hardness_bounds``), whose results equal
+:func:`~rostop.bound.hardness_bound`'s bit for bit.  With several workers
+the same chunk evaluator is mapped over the chunks in worker processes; the
+pool still pays on large grids because ``validate``, one Python call per
+point, dominates there.  Results are gathered in grid order and then
+sorted, making serial and parallel output byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .bound import hardness_bound
+import numpy as np
+
+from .bound import _hardness_bounds
 from .dp import _require_table_size, compute_thresholds, gambler_prophet_ratio
 from .instance import make_instance, validate
 
@@ -37,6 +46,10 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 10_000_000
+# Points per batched bound call: bounds the lane arrays on grids up to
+# MAX_GRID_POINTS, and is large enough that numpy's per-call cost is spread
+# over many lanes.
+_CHUNK = 4096
 
 
 class SweepSizeError(ValueError):
@@ -113,18 +126,25 @@ def _grid(spec: SweepSpec) -> list[tuple[float, float, float]]:
     ]
 
 
-def _evaluate_point(point: tuple[float, float, float]) -> SweepRecord:
-    a, b, p = point
-    report = validate(a, b, p)
-    if not report.passed:
-        return SweepRecord(
-            a=a, b=b, p=p, feasible=False,
-            failed_conditions=report.failed_names(), case=None, M=None,
-        )
-    hb = hardness_bound(a, b, p)
-    return SweepRecord(
-        a=a, b=b, p=p, feasible=True, failed_conditions=(), case=hb.case, M=hb.M
-    )
+def _evaluate_chunk(points: list[tuple[float, float, float]]) -> list[SweepRecord]:
+    """Validate each point, then bound the feasible ones in one batched call."""
+    # Only the failed names are kept, not the reports, which are large.
+    failed = [validate(*pt).failed_names() for pt in points]
+    feasible = [pt for pt, names in zip(points, failed) if not names]
+    bounds = _hardness_bounds(*np.array(feasible, float).reshape(-1, 3).T)
+    case_and_M = zip(bounds["case"].tolist(), bounds["M"].tolist())
+    records = []
+    for (a, b, p), names in zip(points, failed):
+        if names:
+            records.append(SweepRecord(
+                a=a, b=b, p=p, feasible=False, failed_conditions=names, case=None, M=None
+            ))
+        else:
+            case, M = next(case_and_M)
+            records.append(SweepRecord(
+                a=a, b=b, p=p, feasible=True, failed_conditions=(), case=case, M=M
+            ))
+    return records
 
 
 def _sort_key(rec: SweepRecord):
@@ -139,11 +159,13 @@ def _evaluate_grid(
     # With fork, the pool starts all `max_workers` processes at the first
     # submit, so never ask for more than there are CPUs or points.
     workers = min(workers, os.cpu_count() or 1, len(points))
+    # Contiguous chunks, a few per worker so that uneven feasibility balances.
+    size = min(_CHUNK, -(-len(points) // (4 * workers))) if workers > 1 else _CHUNK
+    chunks = (points[i : i + size] for i in range(0, len(points), size))
     if workers <= 1:
-        return [_evaluate_point(pt) for pt in points]
+        return [rec for chunk in chunks for rec in _evaluate_chunk(chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(points) // (workers * 8))
-        return list(pool.map(_evaluate_point, points, chunksize=chunk))
+        return [rec for chunk in pool.map(_evaluate_chunk, chunks) for rec in chunk]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:

@@ -16,7 +16,15 @@ from rostop import (
     q_eval,
     validate,
 )
-from rostop.bound import _bisect, _maximise_q, _qprime_sup
+from rostop.bound import (
+    DEFAULT_RTOL,
+    DEFAULT_XTOL,
+    _bisect,
+    _Lanes,
+    _maximise_q,
+    _maximise_q_lanes,
+    _qprime_sup,
+)
 
 from conftest import REF_PARAMS
 
@@ -125,6 +133,26 @@ def test_monotone_branch_via_restricted_interval():
     assert nu_hat == mu_fake
     assert m == q_eval(*REF_PARAMS, prof.lambda_star, mu_fake, mu_fake)
     assert iterations == 0 and nu_err == 0.0
+
+
+def test_batched_monotone_and_interior_lanes_match_scalar():
+    # No feasible grid point is monotone, so the restricted interval of the
+    # test above drives the batched monotone branch, beside an interior lane.
+    prof = lambda_mu_star(*REF_PARAMS)
+    mus = (0.3, prof.mu_star)
+    a, b, p, lam, mu_star = (np.full(2, x) for x in (*REF_PARAMS, prof.lambda_star, prof.mu_star))
+    lanes = _Lanes(np.arange(2), a, b, p, lam, np.array(mus), mu_star)
+    failures = {}
+    interior, nu_hat, m, iterations, nu_err = _maximise_q_lanes(
+        lanes, DEFAULT_XTOL, DEFAULT_RTOL, failures
+    )
+    assert failures == {}
+    assert interior.tolist() == [False, True]
+    for j, mu in enumerate(mus):
+        case = "interior" if interior[j] else "monotone"
+        assert (case, nu_hat[j], m[j], iterations[j], nu_err[j]) == _maximise_q(
+            *REF_PARAMS, prof.lambda_star, mu, DEFAULT_XTOL, DEFAULT_RTOL
+        )
 
 
 def test_infeasible_parameters_rejected():

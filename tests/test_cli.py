@@ -109,6 +109,22 @@ def test_figure_csv(tmp_path, capsys):
     assert lines[-2].startswith("100,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", *ABP, "--n", "100", "--out"],
+        ["dp", *ABP, "--n", "100", "--thresholds-out"],
+    ],
+)
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_non_positive_stride_exits_two_without_a_file(argv, stride, tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    assert main([*argv, str(out), "--stride", stride]) == 2
+    captured = capsys.readouterr()
+    assert "must be >= 1" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_simulate_policy_and_histogram(tmp_path, capsys):
     hist = tmp_path / "hist.csv"
     code = main(

@@ -1,9 +1,12 @@
 import io
 
+import numpy as np
 import pytest
 
+import rostop.bound
 import rostop.dp as dp_module
 from rostop import (
+    CertificationError,
     ParameterError,
     SweepRecord,
     SweepSizeError,
@@ -15,6 +18,7 @@ from rostop import (
     validate,
     write_sweep_csv,
 )
+from rostop.bound import _hardness_bounds
 from rostop.sweep import _axis_values, _grid
 
 from conftest import REF_PARAMS
@@ -23,6 +27,8 @@ from conftest import REF_PARAMS
 BRACKET = SweepSpec(
     a=(0.789, 0.809, 0.01), b=(1.24, 1.26, 0.01), p=(0.421, 0.441, 0.01)
 )
+# The README's 11^3 grid, 778 of whose points are feasible.
+README_GRID = SweepSpec(a=(0.75, 0.85, 0.01), b=(1.2, 1.3, 0.01), p=(0.4, 0.5, 0.01))
 
 
 def test_axis_values_counts_and_endpoints():
@@ -131,6 +137,47 @@ class _RecordingPool:
 
     def map(self, fn, items, chunksize=1):
         return map(fn, items)
+
+
+@pytest.mark.parametrize("spec, feasible", [(README_GRID, 778), (BRACKET, 15)])
+def test_batched_bounds_equal_scalar(spec, feasible):
+    points = [pt for pt in _grid(spec) if validate(*pt).passed]
+    assert len(points) == feasible
+    batched = _hardness_bounds(*np.array(points).T)
+    scalar = [hardness_bound(*pt) for pt in points]
+    assert {"M", "case", "nu_hat", "iterations", "nu_error_bound"} <= set(batched)
+    for field, column in batched.items():
+        assert column.tolist() == [getattr(hb, field) for hb in scalar], field
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunked_sweep_equals_unchunked(monkeypatch, chunk):
+    # Chunk size 1 leaves some batched calls with no feasible point at all.
+    whole = run_sweep(BRACKET)
+    monkeypatch.setattr("rostop.sweep._CHUNK", chunk)
+    assert run_sweep(BRACKET) == whole
+
+
+def test_batched_checks_raise_for_the_first_failing_point(monkeypatch):
+    real = rostop.bound._q_derivatives_lanes
+
+    def negative_third(lanes, nu, failures):
+        q1, q2, q3, keep = real(lanes, nu, failures)
+        return q1, q2, -q3, keep
+
+    monkeypatch.setattr(rostop.bound, "_q_derivatives_lanes", negative_third)
+    first = r"at \(a, b, p\) = \(0\.789, 1\.24, 0\.421\): q''' is not positive"
+    with pytest.raises(CertificationError, match=first):
+        run_sweep(BRACKET)
+
+    def later_points_fail_sooner(lanes, nu, failures):
+        # A NaN q' fails the bracket check, a stage before the certificate.
+        q1, q2, q3, keep = negative_third(lanes, nu, failures)
+        return np.where(lanes.a > 0.79, np.nan, q1), q2, q3, keep
+
+    monkeypatch.setattr(rostop.bound, "_q_derivatives_lanes", later_points_fail_sooner)
+    with pytest.raises(CertificationError, match=first):
+        run_sweep(BRACKET)
 
 
 def test_worker_count_clamped_to_cpus_and_points(monkeypatch):
