@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=_parse_range, required=True, metavar="LO:HI:STEP")
     sp.add_argument("--b", type=_parse_range, required=True, metavar="LO:HI:STEP")
     sp.add_argument("--p", type=_parse_range, required=True, metavar="LO:HI:STEP")
-    sp.add_argument("--n", type=int, help="cross-check the best point at this size")
+    sp.add_argument("--n", type=_positive_int, help="cross-check the best point at this size")
     sp.add_argument("--refine", type=int, default=0, metavar="ROUNDS")
     sp.add_argument("--shrink", type=float, default=2.0)
     sp.add_argument("--workers", type=_positive_int, default=1,
@@ -254,7 +254,7 @@ def _cmd_sweep(args) -> int:
         if spec.refine_rounds:
             best = refine(best, spec, workers=args.workers)
         print(f"best: a={best.a:.12g} b={best.b:.12g} p={best.p:.12g} M={best.M:.12f}")
-        if spec.n:
+        if spec.n is not None:
             ratio = dp_cross_check(best, spec.n)
             print(f"dp ratio at n={spec.n}: {ratio:.12f} (M - ratio = {best.M - ratio:.3g})")
     return 0

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bound import _hardness_bounds
 from .dp import _require_table_size, compute_thresholds, gambler_prophet_ratio
-from .instance import make_instance, validate
+from .instance import _size, make_instance, validate
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -60,10 +60,10 @@ class SweepSizeError(ValueError):
 class SweepSpec:
     """Axis ranges ``(lo, hi, step)`` plus refinement controls.
 
-    ``n`` optionally names a size, at most ``MAX_TABLE_N``, at which the
-    best points can be cross-checked against the finite-size program (see
-    :func:`dp_cross_check`).  ``shrink`` divides both the width and the step
-    of every axis once per refinement round.
+    ``n`` optionally names a positive integer size, at most ``MAX_TABLE_N``,
+    at which the best points can be cross-checked against the finite-size
+    program (see :func:`dp_cross_check`).  ``shrink`` divides both the width
+    and the step of every axis once per refinement round.
     """
 
     a: tuple[float, float, float]
@@ -86,7 +86,7 @@ class SweepSpec:
         if not 1.0 < self.shrink < math.inf:
             raise ValueError(f"shrink must be finite and exceed 1, got {self.shrink!r}")
         if self.n is not None:
-            _require_table_size(self.n)  # before the sweep, not after it
+            _require_table_size(_size(self.n))  # before the sweep, not after it
         total = 1
         for rng in (self.a, self.b, self.p):
             total *= _axis_count(rng)

@@ -20,7 +20,6 @@ from rostop.bound import (
     DEFAULT_RTOL,
     DEFAULT_XTOL,
     _bisect,
-    _Lanes,
     _maximise_q,
     _maximise_q_lanes,
     _qprime_sup,
@@ -140,19 +139,30 @@ def test_batched_monotone_and_interior_lanes_match_scalar():
     # test above drives the batched monotone branch, beside an interior lane.
     prof = lambda_mu_star(*REF_PARAMS)
     mus = (0.3, prof.mu_star)
-    a, b, p, lam, mu_star = (np.full(2, x) for x in (*REF_PARAMS, prof.lambda_star, prof.mu_star))
-    lanes = _Lanes(np.arange(2), a, b, p, lam, np.array(mus), mu_star)
-    failures = {}
-    interior, nu_hat, m, iterations, nu_err = _maximise_q_lanes(
-        lanes, DEFAULT_XTOL, DEFAULT_RTOL, failures
+    lanes = (np.full(2, x) for x in (*REF_PARAMS, prof.lambda_star, prof.mu_star))
+    interior, nu_hat, m, iterations, nu_err, bad = _maximise_q_lanes(
+        *lanes, np.array(mus), DEFAULT_XTOL, DEFAULT_RTOL
     )
-    assert failures == {}
+    assert bad.tolist() == [False, False]
     assert interior.tolist() == [False, True]
     for j, mu in enumerate(mus):
         case = "interior" if interior[j] else "monotone"
         assert (case, nu_hat[j], m[j], iterations[j], nu_err[j]) == _maximise_q(
             *REF_PARAMS, prof.lambda_star, mu, DEFAULT_XTOL, DEFAULT_RTOL
         )
+
+
+def test_batched_iteration_budget_flags_every_interior_lane():
+    # With zero tolerances the width test never passes: the bracket stalls at
+    # adjacent floats, so the scalar spends its budget and so must each lane.
+    with pytest.raises(MaxIterationsError):
+        hardness_bound(*REF_PARAMS, xtol=0.0, rtol=0.0)
+    prof = lambda_mu_star(*REF_PARAMS)
+    mus = np.array([0.3, prof.mu_star, prof.mu_star])
+    lanes = (np.full(3, x) for x in (*REF_PARAMS, prof.lambda_star, prof.mu_star))
+    interior, *_, bad = _maximise_q_lanes(*lanes, mus, 0.0, 0.0)
+    assert interior.tolist() == [False, True, True]
+    assert bad.tolist() == interior.tolist()
 
 
 def test_infeasible_parameters_rejected():

@@ -215,6 +215,15 @@ def test_sweep_rejects_non_positive_workers(capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_sweep_rejects_non_positive_n_without_a_file(n, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--a", "0.789:0.789:0.01", "--b", "1.24:1.24:0.01",
+                 "--p", "0.421:0.421:0.01", "--n", n, "--out", str(out)]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_with_refinement_and_cross_check(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(

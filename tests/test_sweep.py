@@ -7,6 +7,7 @@ import rostop.bound
 import rostop.dp as dp_module
 from rostop import (
     CertificationError,
+    ConsistencyError,
     ParameterError,
     SweepRecord,
     SweepSizeError,
@@ -85,6 +86,13 @@ def test_spec_rejects_cross_check_size_over_cap(monkeypatch):
         SweepSpec(**fields, n=11)
 
 
+@pytest.mark.parametrize("n", [0, -5, 2.0, True])
+def test_spec_rejects_cross_check_size_that_is_not_a_positive_integer(n):
+    fields = {"a": (0.1, 0.9, 0.1), "b": (1.0, 1.1, 0.1), "p": (0.1, 0.2, 0.1)}
+    with pytest.raises(ParameterError, match="n must be"):
+        SweepSpec(**fields, n=n)
+
+
 def test_sweep_contains_reference_point_with_reference_bound():
     records = run_sweep(BRACKET)
     assert len(records) == 27
@@ -158,25 +166,40 @@ def test_chunked_sweep_equals_unchunked(monkeypatch, chunk):
     assert run_sweep(BRACKET) == whole
 
 
+def _negate_third(derivatives):
+    def negated(*args):
+        q1, q2, q3, *bad = derivatives(*args)
+        return (q1, q2, -q3, *bad)
+
+    return negated
+
+
 def test_batched_checks_raise_for_the_first_failing_point(monkeypatch):
-    real = rostop.bound._q_derivatives_lanes
-
-    def negative_third(lanes, nu, failures):
-        q1, q2, q3, keep = real(lanes, nu, failures)
-        return q1, q2, -q3, keep
-
+    # The scalar and the lanes are patched alike, so the sweep raises the
+    # scalar's error for the first point in grid order.
+    monkeypatch.setattr(rostop.bound, "q_derivatives", _negate_third(rostop.bound.q_derivatives))
+    negative_third = _negate_third(rostop.bound._q_derivatives_lanes)
     monkeypatch.setattr(rostop.bound, "_q_derivatives_lanes", negative_third)
     first = r"at \(a, b, p\) = \(0\.789, 1\.24, 0\.421\): q''' is not positive"
     with pytest.raises(CertificationError, match=first):
         run_sweep(BRACKET)
 
-    def later_points_fail_sooner(lanes, nu, failures):
+    def later_points_fail_sooner(a, b, p, lam, mu_star, nu):
         # A NaN q' fails the bracket check, a stage before the certificate.
-        q1, q2, q3, keep = negative_third(lanes, nu, failures)
-        return np.where(lanes.a > 0.79, np.nan, q1), q2, q3, keep
+        q1, q2, q3, bad = negative_third(a, b, p, lam, mu_star, nu)
+        return np.where(a > 0.79, np.nan, q1), q2, q3, bad
 
     monkeypatch.setattr(rostop.bound, "_q_derivatives_lanes", later_points_fail_sooner)
     with pytest.raises(CertificationError, match=first):
+        run_sweep(BRACKET)
+
+
+def test_batched_check_the_scalar_passes_raises_consistency_error(monkeypatch):
+    # Only the lanes see a negative q''': the scalar re-run of the first
+    # flagged point passes, and the sweep reports the disagreement.
+    negative_third = _negate_third(rostop.bound._q_derivatives_lanes)
+    monkeypatch.setattr(rostop.bound, "_q_derivatives_lanes", negative_third)
+    with pytest.raises(ConsistencyError, match=r"at \(a, b, p\) = \(0\.789, 1\.24, 0\.421\)"):
         run_sweep(BRACKET)
 
 
