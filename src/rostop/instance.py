@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 CONDITION_NAMES = ("ordering", "log", "I", "II", "III", "IV", "V", "pmf")
+# Largest n whose square converts to a finite float (about 1.34e154), as the
+# masses 1/n^2 and p/n are floats.  Integers from halfway between the largest
+# float and 2**1024 upward round to infinity.
+_MAX_N = math.isqrt(2**1024 - 2**970 - 1)
 
 
 class ParameterError(ValueError):
@@ -50,7 +54,7 @@ class InfeasibleInstanceError(ValueError):
     """
 
     def __init__(self, report: "ConditionReport"):
-        failed = ", ".join(c.name for c in report.checks if not c.passed)
+        failed = ", ".join(report.failed_names())
         super().__init__(f"infeasible parameters (failed checks: {failed})")
         self.report = report
 
@@ -70,22 +74,34 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of all eight feasibility checks for one parameter tuple."""
+    """Outcome of all eight feasibility checks for one parameter tuple.
 
-    checks: tuple[ConditionCheck, ...]
+    Entry ``i`` of ``lhs``, ``rhs`` and ``ok`` belongs to the check named
+    ``CONDITION_NAMES[i]``: its two numeric witnesses and whether it holds.
+    ``checks`` builds the per-check rows when it is read.
+    """
+
+    lhs: tuple[float, ...]
+    rhs: tuple[float, ...]
+    ok: tuple[bool, ...]
+
+    @property
+    def checks(self) -> tuple[ConditionCheck, ...]:
+        return tuple(map(ConditionCheck, CONDITION_NAMES, self.lhs, self.rhs, self.ok))
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(self.ok)
 
     def check(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        try:
+            i = CONDITION_NAMES.index(name)
+        except ValueError:
+            raise KeyError(name) from None
+        return ConditionCheck(name, self.lhs[i], self.rhs[i], self.ok[i])
 
     def failed_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks if not c.passed)
+        return tuple(name for name, ok in zip(CONDITION_NAMES, self.ok) if not ok)
 
     def to_json(self) -> str:
         return json.dumps([c.as_dict() for c in self.checks])
@@ -148,14 +164,9 @@ def _size(n) -> int:
         raise ParameterError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
+    if n > _MAX_N:
+        raise ParameterError(f"n must be at most {_MAX_N:.6g}, so that n*n is a finite float")
     return n
-
-
-def _nan_on_domain_error(fn, *args) -> float:
-    try:
-        return fn(*args)
-    except ValueError:
-        return math.nan
 
 
 def validate(a: float, b: float, p: float, n: int | None = None) -> ConditionReport:
@@ -178,38 +189,43 @@ def validate(a: float, b: float, p: float, n: int | None = None) -> ConditionRep
         n = _size(n)
 
     ordering_margin = min(a, 1.0 - a, b - 1.0, p)
-    log_lhs = _nan_on_domain_error(math.log1p, p * b)
+    pb = p * b
+    # the guards return NaN exactly where log1p / log raise a domain error
+    log_lhs = math.log1p(pb) if pb > -1.0 else math.nan
 
-    u = 1.0 + b * p
+    u = 1.0 + pb
     v = 1.0 + (b - a) * p
     ratio = u / v if v != 0.0 else math.nan
-    lhs_i = _nan_on_domain_error(lambda r: r * math.log(r), ratio)
+    lhs_i = ratio * math.log(ratio) if ratio > 0.0 else math.nan
+    rhs_i = a * p
     lhs_ii = (2.0 - p) * (b - a)
     lhs_iii = (1.0 - lhs_ii) / v if v != 0.0 else math.nan
-    if p != 0.0 and v > 0.0 and u > 0.0:
-        rhs_iii = 1.0 + math.log(v / u) / p
-    else:
-        rhs_iii = math.nan
-    lhs_iv = 2.0 + p * b * (1.0 - p * (b - a))
+    # v / u underflows to 0 when p*b overflows, and log(0) raises
+    w = v / u if v > 0.0 and u > 0.0 else 0.0
+    rhs_iii = 1.0 + math.log(w) / p if w > 0.0 and p != 0.0 else math.nan
+    lhs_iv = 2.0 + pb * (1.0 - p * (b - a))
     denom_v = u * log_lhs
-    lhs_v = b * p * v / denom_v if denom_v and not math.isnan(denom_v) else math.nan
+    lhs_v = pb * v / denom_v if denom_v and not math.isnan(denom_v) else math.nan
 
     if n is None:
         pmf_lhs = 0.0
     else:
         pmf_lhs = p / n + 1.0 / (n * n)
 
-    checks = (
-        ConditionCheck("ordering", ordering_margin, 0.0, ordering_margin > 0.0),
-        ConditionCheck("log", log_lhs, p, log_lhs < p),
-        ConditionCheck("I", lhs_i, a * p, lhs_i <= a * p),
-        ConditionCheck("II", lhs_ii, 1.0, lhs_ii < 1.0),
-        ConditionCheck("III", lhs_iii, rhs_iii, lhs_iii < rhs_iii),
-        ConditionCheck("IV", lhs_iv, 0.0, lhs_iv >= 0.0),
-        ConditionCheck("V", lhs_v, 1.0, lhs_v < 1.0),
-        ConditionCheck("pmf", pmf_lhs, 1.0, pmf_lhs <= 1.0),
+    return ConditionReport(
+        lhs=(ordering_margin, log_lhs, lhs_i, lhs_ii, lhs_iii, lhs_iv, lhs_v, pmf_lhs),
+        rhs=(0.0, p, rhs_i, 1.0, rhs_iii, 0.0, 1.0, 1.0),
+        ok=(
+            ordering_margin > 0.0,
+            log_lhs < p,
+            lhs_i <= rhs_i,
+            lhs_ii < 1.0,
+            lhs_iii < rhs_iii,
+            lhs_iv >= 0.0,
+            lhs_v < 1.0,
+            pmf_lhs <= 1.0,
+        ),
     )
-    return ConditionReport(checks=checks)
 
 
 def make_instance(

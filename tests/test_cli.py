@@ -50,6 +50,27 @@ def test_validate_exit_codes(capsys):
     assert "ordering" in out and "FAIL" in out
 
 
+def test_validate_text_pinned(capsys):
+    assert main(["validate", "--a", "0.789", "--b", "1.24", "--p", "0.2", "--n", "1000000"]) == 1
+    assert capsys.readouterr().out == (
+        "ordering: lhs=0.2 rhs=0 PASS\n"
+        "log: lhs=0.221542269947 rhs=0.2 FAIL\n"
+        "I: lhs=0.154747769368 rhs=0.1578 PASS\n"
+        "II: lhs=0.8118 rhs=1 PASS\n"
+        "III: lhs=0.172628875436 rhs=0.324094478504 PASS\n"
+        "IV: lhs=2.2256304 rhs=0 PASS\n"
+        "V: lhs=0.977882495038 rhs=1 PASS\n"
+        "pmf: lhs=2.00001e-07 rhs=1 PASS\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "dp"])
+def test_size_whose_square_overflows_exits_two(command, capsys):
+    assert main([command, *ABP, "--n", "1" + "0" * 200]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: n must be at most")
+
+
 def test_validate_json(capsys):
     assert main(["validate", *ABP, "--n", "100", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -172,6 +193,15 @@ def test_sweep_non_finite_range_exits_two(capsys):
                  "--p", "0.4:0.5:0.1", "--out", "/dev/null"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "must be finite" in err
+
+
+def test_sweep_overflowing_point_count_exits_two_without_a_file(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--a=-1e308:1e308:1", "--b", "1.2:1.3:0.1",
+                 "--p", "0.4:0.5:0.1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "points" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

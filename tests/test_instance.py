@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rostop import (
+    ConditionCheck,
+    ConditionReport,
     InfeasibleInstanceError,
     ParameterError,
     make_instance,
     validate,
 )
-from rostop.instance import CONDITION_NAMES
+from rostop.instance import _MAX_N, CONDITION_NAMES
 
 from conftest import REF_PARAMS
 
@@ -161,3 +163,119 @@ def test_mass_vector_properties(a, b, p, n):
     assert abs(ev - dist.mean) <= 2 * math.ulp(dist.mean)
     assert dist.mean == (1.0 + b * p) / n
     assert inst.validated
+
+
+# Reports pinned byte for byte.  The third input takes log of a negative
+# ratio in condition I, the fourth has p*b <= -1, so log1p is out of domain.
+PINNED_REPORTS = [
+    (
+        (0.789, 1.24, 0.421, 100),
+        '['
+        '{"name": "ordering", "lhs": 0.21099999999999997, "rhs": 0.0, "pass": true}, '
+        '{"name": "log", "lhs": 0.4200515403030848, "rhs": 0.421, "pass": true}, '
+        '{"name": "I", "lhs": 0.31493864294907836, "rhs": 0.332169, "pass": true}, '
+        '{"name": "II", "lhs": 0.7121289999999999, "rhs": 1.0, "pass": true}, '
+        '{"name": "III", "lhs": 0.2419346298884502, "rhs": 0.41518612252479703, "pass": true}, '
+        '{"name": "IV", "lhs": 2.42291974316, "rhs": 0.0, "pass": true}, '
+        '{"name": "V", "lhs": 0.9715720513374395, "rhs": 1.0, "pass": true}, '
+        '{"name": "pmf", "lhs": 0.0043100000000000005, "rhs": 1.0, "pass": true}'
+        ']',
+    ),
+    (
+        (0.789, 1.24, 0.2, 10**6),
+        '['
+        '{"name": "ordering", "lhs": 0.2, "rhs": 0.0, "pass": true}, '
+        '{"name": "log", "lhs": 0.22154226994723591, "rhs": 0.2, "pass": false}, '
+        '{"name": "I", "lhs": 0.15474776936836546, "rhs": 0.15780000000000002, "pass": true}, '
+        '{"name": "II", "lhs": 0.8118, "rhs": 1.0, "pass": true}, '
+        '{"name": "III", "lhs": 0.17262887543569988, "rhs": 0.3240944785040377, "pass": true}, '
+        '{"name": "IV", "lhs": 2.2256304, "rhs": 0.0, "pass": true}, '
+        '{"name": "V", "lhs": 0.9778824950376502, "rhs": 1.0, "pass": true}, '
+        '{"name": "pmf", "lhs": 2.0000100000000002e-07, "rhs": 1.0, "pass": true}'
+        ']',
+    ),
+    (
+        (5.0, 1.1, 3.0, 10),
+        '['
+        '{"name": "ordering", "lhs": -4.0, "rhs": 0.0, "pass": false}, '
+        '{"name": "log", "lhs": 1.4586150226995167, "rhs": 3.0, "pass": true}, '
+        '{"name": "I", "lhs": NaN, "rhs": 15.0, "pass": false}, '
+        '{"name": "II", "lhs": 3.9, "rhs": 1.0, "pass": false}, '
+        '{"name": "III", "lhs": 0.2710280373831776, "rhs": NaN, "pass": false}, '
+        '{"name": "IV", "lhs": 43.910000000000004, "rhs": 0.0, "pass": true}, '
+        '{"name": "V", "lhs": -5.629743132481358, "rhs": 1.0, "pass": true}, '
+        '{"name": "pmf", "lhs": 0.31, "rhs": 1.0, "pass": true}'
+        ']',
+    ),
+    (
+        (0.5, 3.0, -0.5, 10),
+        '['
+        '{"name": "ordering", "lhs": -0.5, "rhs": 0.0, "pass": false}, '
+        '{"name": "log", "lhs": NaN, "rhs": -0.5, "pass": false}, '
+        '{"name": "I", "lhs": 1.3862943611198906, "rhs": -0.25, "pass": false}, '
+        '{"name": "II", "lhs": 6.25, "rhs": 1.0, "pass": false}, '
+        '{"name": "III", "lhs": 21.0, "rhs": NaN, "pass": false}, '
+        '{"name": "IV", "lhs": -1.375, "rhs": 0.0, "pass": false}, '
+        '{"name": "V", "lhs": NaN, "rhs": 1.0, "pass": false}, '
+        '{"name": "pmf", "lhs": -0.04, "rhs": 1.0, "pass": true}'
+        ']',
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", PINNED_REPORTS)
+def test_report_json_pinned(args, expected):
+    assert validate(*args).to_json() == expected
+
+
+def test_report_stores_one_tuple_entry_per_condition():
+    report = validate(*REF_PARAMS, 100)
+    assert len(report.lhs) == len(report.rhs) == len(report.ok) == len(CONDITION_NAMES)
+    rebuilt = ConditionReport(lhs=report.lhs, rhs=report.rhs, ok=report.ok)
+    assert rebuilt == report
+    assert report.checks[1] == ConditionCheck("log", report.lhs[1], report.rhs[1], report.ok[1])
+
+
+def test_unknown_check_name_raises_key_error():
+    with pytest.raises(KeyError):
+        validate(*REF_PARAMS).check("nope")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.floats(-1e6, 1e6),
+    b=st.floats(-1e6, 1e6),
+    p=st.floats(-1e6, 1e6),
+    n=st.one_of(st.none(), st.integers(1, 10**12)),
+)
+def test_report_readers_agree(a, b, p, n):
+    report = validate(a, b, p, n)
+    checks = report.checks
+    assert tuple(c.name for c in checks) == CONDITION_NAMES
+    assert report.failed_names() == tuple(c.name for c in checks if not c.passed)
+    assert report.passed == (not report.failed_names())
+    for i, name in enumerate(CONDITION_NAMES):
+        # as tuples, whose comparison takes a NaN witness as equal to itself
+        row, expected = report.check(name), checks[i]
+        assert (row.name, row.lhs, row.rhs, row.passed) == (
+            expected.name, expected.lhs, expected.rhs, expected.passed
+        )
+
+
+def test_overflowing_parameters_report_instead_of_raising():
+    # p*b overflows, so v/u underflows to 0 and condition III has no witness
+    report = validate(1e300, 1e300, 1e300)
+    assert math.isnan(report.check("III").rhs)
+    assert report.failed_names() == ("ordering", "log", "III", "V")
+
+
+def test_size_whose_square_overflows_rejected():
+    assert validate(*REF_PARAMS, _MAX_N).check("pmf").passed
+    make_instance(*REF_PARAMS, _MAX_N, unchecked=True)
+    with pytest.raises(OverflowError):
+        float((_MAX_N + 1) ** 2)
+    for n in (_MAX_N + 1, 10**200):
+        with pytest.raises(ParameterError, match="at most 1.34078e"):
+            validate(0.789, 1.24, 0.421, n)
+        with pytest.raises(ParameterError, match="at most 1.34078e"):
+            make_instance(0.789, 1.24, 0.421, n, unchecked=True)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -52,6 +53,13 @@ def test_grid_iteration_order():
 def test_grid_size_guard():
     with pytest.raises(SweepSizeError):
         SweepSpec(a=(0.0, 1.0, 1e-8), b=(1.0, 1.5, 1e-4), p=(0.1, 0.9, 1e-4))
+
+
+@pytest.mark.parametrize("a", [(-1e308, 1e308, 1.0), (0.7, 0.8, 5e-324)])
+def test_grid_size_guard_when_point_count_overflows(a):
+    # (hi - lo) / step is infinite: the axis has more points than any budget
+    with pytest.raises(SweepSizeError, match="over 10000000 points"):
+        SweepSpec(a=a, b=(1.2, 1.3, 0.01), p=(0.4, 0.5, 0.01))
 
 
 def test_spec_validation():
@@ -228,6 +236,16 @@ def test_serial_and_parallel_output_identical():
     write_sweep_csv(serial, buf_s)
     write_sweep_csv(parallel, buf_p)
     assert buf_s.getvalue() == buf_p.getvalue()
+
+
+def test_readme_grid_csv_bytes_pinned():
+    buf = io.StringIO()
+    write_sweep_csv(run_sweep(README_GRID), buf)
+    text = buf.getvalue()
+    assert text.count("\n") == 1332
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "632871df247f14c0c811df0f1271cfcd08ee7304896d81908606f5b5b996c0e3"
+    )
 
 
 def test_csv_format():
