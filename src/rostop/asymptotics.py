@@ -121,23 +121,54 @@ def lambda_mu_star(a: float, b: float, p: float) -> AsymptoticProfile:
     report = validate(a, b, p)
     if not report.passed:
         raise InfeasibleInstanceError(report)
-    lam = 1.0 + (math.log1p((b - a) * p) - math.log1p(b * p)) / p
-    mu = 1.0 - math.log1p(b * p) / p
+    lam, mu = _limits(a, b, p, math.log1p)
     return AsymptoticProfile(a=a, b=b, p=p, lambda_star=lam, mu_star=mu)
 
 
-def q_eval(a: float, b: float, p: float, lam: float, mu: float, nu: float) -> float:
-    """The six-term exponential quadratic ``q_{a,b,p}(lambda, mu, nu)``."""
+# The formulas below check nothing and take ``exp``/``log1p`` as arguments:
+# ``math``'s on the scalar path, libm per element on the bound's numpy lanes,
+# so both evaluate one source and get the same bits.
+
+
+def _limits(a, b, p, log1p):
+    """``(lambda*, mu*)``; see :func:`lambda_mu_star`."""
+    log_bp = log1p(b * p)
+    return 1.0 + (log1p((b - a) * p) - log_bp) / p, 1.0 - log_bp / p
+
+
+def _q(a, b, p, lam, mu, nu, exp):
+    """``q(lam, mu, nu)``; see :func:`q_eval`."""
     ib = 1.0 / p + b
     return (
         mu * mu / 2.0
         - nu * nu / 2.0
         + nu
         + ib
-        + (1.0 / p - mu) * ib * math.exp(p * (mu - 1.0))
-        + (ib * (nu - lam) - a / p) * math.exp(p * (nu - 1.0))
-        - (1.0 / p) * (ib - a) * math.exp(p * (nu - lam))
+        + (1.0 / p - mu) * ib * exp(p * (mu - 1.0))
+        + (ib * (nu - lam) - a / p) * exp(p * (nu - 1.0))
+        - (1.0 / p) * (ib - a) * exp(p * (nu - lam))
     )
+
+
+def _q_terms(a, b, p, lam, nu, exp):
+    """``(q1, q1_unsimplified, q2, q3)`` at ``nu``; see :func:`q_derivatives`."""
+    e1 = exp(p * (nu - 1.0))
+    slope = (1.0 + b * p) * (nu - lam)
+    q1 = 1.0 - nu + (slope - a) * e1
+    q1_unsimplified = (
+        1.0
+        - nu
+        + ((1.0 / p + b) + slope - a) * e1
+        - (1.0 / p + b - a) * exp(p * (nu - lam))
+    )
+    q2 = -1.0 + (1.0 + p * (b - a + slope)) * e1
+    q3 = p * (2.0 + p * (2.0 * b - a + slope)) * e1
+    return q1, q1_unsimplified, q2, q3
+
+
+def q_eval(a: float, b: float, p: float, lam: float, mu: float, nu: float) -> float:
+    """The six-term exponential quadratic ``q_{a,b,p}(lambda, mu, nu)``."""
+    return _q(a, b, p, lam, mu, nu, math.exp)
 
 
 def q_derivatives(
@@ -156,22 +187,12 @@ def q_derivatives(
         raise ParameterError(
             f"nu={nu!r} outside [mu*, lambda*] = [{mu_star!r}, {lambda_star!r}]"
         )
-    e1 = math.exp(p * (nu - 1.0))
-    bp1 = 1.0 + b * p
-    q1 = 1.0 - nu + (bp1 * (nu - lambda_star) - a) * e1
-    q1_unsimplified = (
-        1.0
-        - nu
-        + ((1.0 / p + b) + bp1 * (nu - lambda_star) - a) * e1
-        - (1.0 / p + b - a) * math.exp(p * (nu - lambda_star))
-    )
+    q1, q1_unsimplified, q2, q3 = _q_terms(a, b, p, lambda_star, nu, math.exp)
     if abs(q1 - q1_unsimplified) > 1e-12:
         raise ConsistencyError(
             "simplified and unsimplified q' disagree: "
             f"{q1!r} vs {q1_unsimplified!r} (is lambda_star correct?)"
         )
-    q2 = -1.0 + (1.0 + p * (b - a + bp1 * (nu - lambda_star))) * e1
-    q3 = p * (2.0 + p * (2.0 * b - a + bp1 * (nu - lambda_star))) * e1
     return q1, q2, q3
 
 

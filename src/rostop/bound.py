@@ -19,10 +19,12 @@ and tangents prove ``|q'| < 1`` there, and the same bound then dominates
 :func:`hardness_bound` is the single-point path and the reference.  The
 sweep uses the private batched evaluator :func:`_hardness_bounds`, which
 runs the same steps over numpy arrays of validated points: all lanes bisect
-in lockstep, each stopping on the scalar's own width test, and every result
-equals the scalar's bit for bit.  Each scalar check is a mask over the lanes;
-if any lane fails one, the first such point in input order is re-run through
-:func:`hardness_bound`, so every error is raised, and worded, only there.
+in lockstep, each stopping on the scalar's own width test.  The lanes share
+every formula with the scalar path, so every result equals the scalar's bit
+for bit; they differ only in how a check reports.  Each scalar check is a
+mask over the lanes; if any lane fails one, the first such point in input
+order is re-run through :func:`hardness_bound`, so every error is raised,
+and worded, only there.
 """
 
 from __future__ import annotations
@@ -30,13 +32,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .asymptotics import ConsistencyError, lambda_mu_star, q_derivatives, q_eval
+from .asymptotics import ConsistencyError, _limits, _q, _q_terms
+from .asymptotics import lambda_mu_star, q_derivatives, q_eval
 from .instance import ParameterError
-from .prophet import prophet_limit
+from .prophet import _limit, prophet_limit
 
 __all__ = [
     "BracketError",
@@ -155,6 +159,14 @@ def _bisect(
             hi = mid
 
 
+def _sup_from_ends(q1_lo, q2_lo, q1_hi, q2_hi, w, max, min):
+    """:func:`_qprime_sup`'s bound from ``q'`` and ``q''`` at the ends of an interval
+    of width ``w``; ``max`` and ``min`` are passed in like ``asymptotics._q``'s ``exp``."""
+    upper = max(q1_lo, q1_hi)
+    lower = max(q1_lo + min(0.0, q2_lo) * w, q1_hi - max(0.0, q2_hi) * w)
+    return max(upper, -lower) + _QPRIME_ROUNDING
+
+
 def _qprime_sup(
     a: float, b: float, p: float, lam: float, mu: float, lo: float, hi: float
 ) -> float:
@@ -179,10 +191,7 @@ def _qprime_sup(
             f"q''' is not positive at both ends ({q3_lo!r}, {q3_hi!r}), "
             "so q' is not proved convex on the interval"
         )
-    w = hi - lo
-    upper = max(q1_lo, q1_hi)
-    lower = max(q1_lo + min(0.0, q2_lo) * w, q1_hi - max(0.0, q2_hi) * w)
-    sup = max(upper, -lower) + _QPRIME_ROUNDING
+    sup = _sup_from_ends(q1_lo, q2_lo, q1_hi, q2_hi, hi - lo, max, min)
     if sup >= 1.0:
         raise CertificationError(
             f"|q'| may reach {sup!r} >= 1 on the interval; error chain does not close"
@@ -309,18 +318,25 @@ def certify(bound: HardnessBound) -> ErrorCertificate:
 
 # ---------------------------------------------------------------- batched path
 #
-# The functions below repeat the scalar path over numpy arrays of points, one
-# lane per point.  numpy does only + - * / and comparisons, in the scalar
-# expressions' order, so every lane's result is bit-identical to the scalar
-# one; exp and log1p go through libm element by element, because numpy's
-# vectorised versions can differ from it in the last bit.  Every check of the
-# scalar path is a boolean mask over the lanes, OR-ed into one ``bad`` array
-# where the scalar would have raised; no lane is ever dropped.  The error
-# itself is re-derived by :func:`hardness_bound` for the first bad point.
+# The functions below run the scalar path over numpy arrays of points, one
+# lane per point.  They evaluate the very formulas the scalar path does
+# (``asymptotics._limits``, ``_q`` and ``_q_terms``, ``prophet._limit`` and
+# :func:`_sup_from_ends`), given element-wise libm ``exp`` and ``log1p``
+# (numpy's vectorised versions can differ from libm in the last bit) and
+# Python's ``max``/``min`` per element; numpy does the + - * / in the same
+# order, so every lane's result is bit-identical to the scalar one.  The two
+# paths differ only in how a check reports: each check that the scalar path
+# raises on is a boolean mask over the lanes, OR-ed into one ``bad`` array,
+# and no lane is ever dropped.  The error itself is re-derived by
+# :func:`hardness_bound` for the first bad point.
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+_exp = partial(_libm, math.exp)
+_log1p = partial(_libm, math.log1p)
 
 
 def _pymax(x, y):
@@ -340,33 +356,9 @@ def _q_derivatives_lanes(a, b, p, lam, mu_star, nu):
     ``[mu*, lambda*]``, or simplified and unsimplified ``q'`` apart by more
     than 1e-12.
     """
-    e1 = _libm(math.exp, p * (nu - 1.0))
-    slope = (1.0 + b * p) * (nu - lam)  # bp1 * (nu - lambda_star) in the scalar
-    q1 = 1.0 - nu + (slope - a) * e1
-    q1_unsimplified = (
-        1.0
-        - nu
-        + ((1.0 / p + b) + slope - a) * e1
-        - (1.0 / p + b - a) * _libm(math.exp, p * (nu - lam))
-    )
+    q1, q1_unsimplified, q2, q3 = _q_terms(a, b, p, lam, nu, _exp)
     bad = ~((mu_star <= nu) & (nu <= lam)) | (np.abs(q1 - q1_unsimplified) > 1e-12)
-    q2 = -1.0 + (1.0 + p * (b - a + slope)) * e1
-    q3 = p * (2.0 + p * (2.0 * b - a + slope)) * e1
     return q1, q2, q3, bad
-
-
-def _q_eval_lanes(a, b, p, lam, mu, nu):
-    """:func:`q_eval` per lane."""
-    ib = 1.0 / p + b
-    return (
-        mu * mu / 2.0
-        - nu * nu / 2.0
-        + nu
-        + ib
-        + (1.0 / p - mu) * ib * _libm(math.exp, p * (mu - 1.0))
-        + (ib * (nu - lam) - a / p) * _libm(math.exp, p * (nu - 1.0))
-        - (1.0 / p) * (ib - a) * _libm(math.exp, p * (nu - lam))
-    )
 
 
 def _maximise_q_lanes(a, b, p, lam, mu_star, mu, xtol, rtol):
@@ -402,7 +394,7 @@ def _maximise_q_lanes(a, b, p, lam, mu_star, mu, xtol, rtol):
     bad |= running  # the iteration budget is spent
     nu_hat = np.where(interior, mid, mu)
     nu_err = np.where(interior, 0.5 * (hi - lo), 0.0)
-    m = _q_eval_lanes(a, b, p, lam, mu, nu_hat)
+    m = _q(a, b, p, lam, mu, nu_hat, _exp)
     return interior, nu_hat, m, iterations, nu_err, bad
 
 
@@ -410,10 +402,7 @@ def _qprime_sup_lanes(a, b, p, lam, mu, lo, hi):
     """:func:`_qprime_sup` per lane: ``(sup, bad)``."""
     q1_lo, q2_lo, q3_lo, bad_lo = _q_derivatives_lanes(a, b, p, lam, mu, lo)
     q1_hi, q2_hi, q3_hi, bad_hi = _q_derivatives_lanes(a, b, p, lam, mu, hi)
-    w = hi - lo
-    upper = _pymax(q1_lo, q1_hi)
-    lower = _pymax(q1_lo + _pymin(0.0, q2_lo) * w, q1_hi - _pymax(0.0, q2_hi) * w)
-    sup = _pymax(upper, -lower) + _QPRIME_ROUNDING
+    sup = _sup_from_ends(q1_lo, q2_lo, q1_hi, q2_hi, hi - lo, _pymax, _pymin)
     bad = (
         ~((mu <= lo) & (lo <= hi) & (hi <= lam))
         | bad_lo
@@ -434,9 +423,7 @@ def _hardness_bounds(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> dict[str, n
     re-run through :func:`hardness_bound` and its exception is raised with
     the point named in its message.
     """
-    log_bp = _libm(math.log1p, b * p)
-    lam = 1.0 + (_libm(math.log1p, (b - a) * p) - log_bp) / p
-    mu = 1.0 - log_bp / p
+    lam, mu = _limits(a, b, p, _log1p)
     interior, nu_hat, m, iterations, nu_err, bad = _maximise_q_lanes(
         a, b, p, lam, mu, mu, DEFAULT_XTOL, DEFAULT_RTOL
     )
@@ -453,13 +440,12 @@ def _hardness_bounds(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> dict[str, n
         ) as exc:
             raise type(exc)(prefix + str(exc)) from exc
         raise ConsistencyError(prefix + "the batched checks fail where hardness_bound passes")
-    e = _libm(math.exp, -p)
     return {
         "lambda_star": lam,
         "mu_star": mu,
         "nu_hat": nu_hat,
         "m": m,
-        "M": m / (1.0 + b * (1.0 - e) + a * e),
+        "M": m / _limit(a, b, p, _exp),
         "case": np.where(interior, "interior", "monotone"),
         "nu_error_bound": nu_err,
         "q_error_bound": np.where(interior, sup * nu_err, 0.0),

@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--refine", type=int, default=0, metavar="ROUNDS")
     sp.add_argument("--shrink", type=float, default=2.0)
     sp.add_argument("--workers", type=_positive_int, default=1,
-                    help="worker processes, at most the CPU count and the grid size")
+                    help="accepted for compatibility; results and speed do not depend on it")
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("figure", help="emit the future-reward curves as CSV")

@@ -42,5 +42,10 @@ def prophet_limit(a: float, b: float, p: float) -> float:
     """Large-size limit ``1 + b(1-e^{-p}) + a e^{-p}``."""
     if not (a > 0 and b > 0 and p > 0):
         raise ParameterError("a, b, p must be positive")
-    e = math.exp(-p)
+    return _limit(a, b, p, math.exp)
+
+
+def _limit(a, b, p, exp):
+    """:func:`prophet_limit`'s formula, unchecked; ``exp`` as in ``asymptotics._q``."""
+    e = exp(-p)
     return 1.0 + b * (1.0 - e) + a * e

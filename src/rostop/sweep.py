@@ -12,23 +12,15 @@ infeasible points sort last.
 The grid is evaluated in contiguous chunks of at most ``_CHUNK`` points.
 Each chunk runs ``validate`` once per point, then bounds its feasible points
 in one batched call (``bound._hardness_bounds``), whose results equal
-:func:`~rostop.bound.hardness_bound`'s bit for bit.  With several workers
-the same chunk evaluator is mapped over the chunks in worker processes.  The
-pool now gains little: on a 132,651-point grid two workers took 1.7-2.4 s
-against 1.8-2.4 s serial (2-vCPU VM), where ``validate``, one Python call
-per point, and the batched bound each take about a third of the serial
-time.  Results are gathered in grid order and then sorted, making serial
-and parallel output byte-identical.
+:func:`~rostop.bound.hardness_bound`'s bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -96,8 +88,7 @@ class SweepSpec:
             raise SweepSizeError(f"grid has {total} points, budget is {MAX_GRID_POINTS}")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One evaluated grid point; ``M``/``case`` are present iff feasible."""
 
     a: float
@@ -138,18 +129,11 @@ def _evaluate_chunk(points: list[tuple[float, float, float]]) -> list[SweepRecor
     feasible = [pt for pt, names in zip(points, failed) if not names]
     bounds = _hardness_bounds(*np.array(feasible, float).reshape(-1, 3).T)
     case_and_M = zip(bounds["case"].tolist(), bounds["M"].tolist())
-    records = []
-    for (a, b, p), names in zip(points, failed):
-        if names:
-            records.append(SweepRecord(
-                a=a, b=b, p=p, feasible=False, failed_conditions=names, case=None, M=None
-            ))
-        else:
-            case, M = next(case_and_M)
-            records.append(SweepRecord(
-                a=a, b=b, p=p, feasible=True, failed_conditions=(), case=case, M=M
-            ))
-    return records
+    return [
+        SweepRecord(a, b, p, False, names, None, None) if names
+        else SweepRecord(a, b, p, True, (), *next(case_and_M))
+        for (a, b, p), names in zip(points, failed)
+    ]
 
 
 def _sort_key(rec: SweepRecord):
@@ -158,24 +142,18 @@ def _sort_key(rec: SweepRecord):
     return (1, 0.0, rec.a, rec.b, rec.p)
 
 
-def _evaluate_grid(
-    points: list[tuple[float, float, float]], workers: int
-) -> list[SweepRecord]:
-    # With fork, the pool starts all `max_workers` processes at the first
-    # submit, so never ask for more than there are CPUs or points.
-    workers = min(workers, os.cpu_count() or 1, len(points))
-    # Contiguous chunks, a few per worker so that uneven feasibility balances.
-    size = min(_CHUNK, -(-len(points) // (4 * workers))) if workers > 1 else _CHUNK
-    chunks = (points[i : i + size] for i in range(0, len(points), size))
-    if workers <= 1:
-        return [rec for chunk in chunks for rec in _evaluate_chunk(chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [rec for chunk in pool.map(_evaluate_chunk, chunks) for rec in chunk]
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
-    """Evaluate the whole grid and rank it: feasible ascending in M, infeasible last."""
-    records = _evaluate_grid(_grid(spec), workers)
+    """Evaluate the whole grid and rank it: feasible ascending in M, infeasible last.
+
+    ``workers`` is accepted and ignored: the grid is evaluated in-process,
+    and neither results nor speed depend on it.
+    """
+    points = _grid(spec)
+    records = [
+        rec
+        for i in range(0, len(points), _CHUNK)
+        for rec in _evaluate_chunk(points[i : i + _CHUNK])
+    ]
     records.sort(key=_sort_key)
     return records
 
@@ -185,7 +163,8 @@ def refine(best: SweepRecord, spec: SweepSpec, workers: int = 1) -> SweepRecord:
 
     The incumbent always stays in contention, so the returned M never
     exceeds the input M.  A round whose grid contains no feasible point
-    leaves the incumbent unchanged and emits a warning.
+    leaves the incumbent unchanged and emits a warning.  ``workers`` is
+    ignored, as in :func:`run_sweep`.
     """
     if not best.feasible:
         raise ValueError("refinement must start from a feasible record")
@@ -200,7 +179,7 @@ def refine(best: SweepRecord, spec: SweepSpec, workers: int = 1) -> SweepRecord:
             (c - w / 2.0, c + w / 2.0, s) for c, w, s in zip(center, widths, steps)
         )
         round_spec = SweepSpec(a=axes[0], b=axes[1], p=axes[2])
-        feasible = [r for r in run_sweep(round_spec, workers) if r.feasible]
+        feasible = [r for r in run_sweep(round_spec) if r.feasible]
         if not feasible:
             warnings.warn(
                 "refinement round found no feasible point; keeping the incumbent",
@@ -224,10 +203,7 @@ def dp_cross_check(record: SweepRecord, n: int) -> float:
 def write_sweep_csv(records: Iterable[SweepRecord], out: IO[str]) -> None:
     """CSV: ``a,b,p,feasible,failed_conditions,case,M`` with 12 significant digits."""
     out.write("a,b,p,feasible,failed_conditions,case,M\n")
-    for r in records:
-        failed = ";".join(r.failed_conditions)
-        case = r.case or ""
-        m = f"{r.M:.12g}" if r.M is not None else ""
-        out.write(
-            f"{r.a:.12g},{r.b:.12g},{r.p:.12g},{str(r.feasible).lower()},{failed},{case},{m}\n"
-        )
+    for a, b, p, feasible, failed, case, M in records:
+        m = f"{M:.12g}" if M is not None else ""
+        failed = ";".join(failed)
+        out.write(f"{a:.12g},{b:.12g},{p:.12g},{str(feasible).lower()},{failed},{case or ''},{m}\n")

@@ -9,9 +9,11 @@ from rostop import (
     MaxIterationsError,
     ParameterError,
     certify,
+    compute_thresholds,
     gambler_prophet_ratio,
     hardness_bound,
     lambda_mu_star,
+    make_instance,
     q_derivatives,
     q_eval,
     validate,
@@ -25,7 +27,7 @@ from rostop.bound import (
     _qprime_sup,
 )
 
-from conftest import REF_PARAMS
+from conftest import PERTURBED, REF_PARAMS
 
 
 def test_bisect_linear_root():
@@ -102,6 +104,18 @@ def test_bound_consistent_with_dp_ratio(ref_dp):
     inst, tables, _ = ref_dp.get(10**6)
     hb = hardness_bound(*REF_PARAMS)
     assert abs(gambler_prophet_ratio(inst, tables) - hb.M) <= 1e-4
+
+
+@pytest.mark.parametrize("point", [REF_PARAMS, *PERTURBED])
+def test_richardson_step_on_finite_size_ratio_reaches_bound(point):
+    # r_n = M + c/n + O(1/n^2), so 2 r_{2n} - r_n estimates M to O(1/n^2)
+    # from the backward pass alone, with no asymptotics or bisection.
+    def ratio(n):
+        inst, _ = make_instance(*point, n)
+        return gambler_prophet_ratio(inst, compute_thresholds(inst))
+
+    extrapolated = 2.0 * ratio(10**6) - ratio(5 * 10**5)
+    assert abs(extrapolated - hardness_bound(*point).M) <= 1e-12
 
 
 def test_bound_below_one_across_feasible_points():

@@ -137,27 +137,20 @@ def test_feasible_records_revalidate():
         assert validate(rec.a, rec.b, rec.p).passed
 
 
-class _RecordingPool:
-    """Stand-in for ProcessPoolExecutor: records max_workers, maps serially."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+# Uniform draws from a box much wider than the grids, which cover only a
+# small corner of the feasible region.
+RANDOM_BOX = np.random.default_rng(16).uniform(
+    [0.3, 1.0, 0.05], [1.0, 3.0, 2.0], size=(20_000, 3)
+).tolist()
 
 
-@pytest.mark.parametrize("spec, feasible", [(README_GRID, 778), (BRACKET, 15)])
+@pytest.mark.parametrize(
+    "spec, feasible",
+    [(README_GRID, 778), (BRACKET, 15), pytest.param(RANDOM_BOX, 526, id="random-box-526")],
+)
 def test_batched_bounds_equal_scalar(spec, feasible):
-    points = [pt for pt in _grid(spec) if validate(*pt).passed]
+    grid = _grid(spec) if isinstance(spec, SweepSpec) else spec
+    points = [pt for pt in grid if validate(*pt).passed]
     assert len(points) == feasible
     batched = _hardness_bounds(*np.array(points).T)
     scalar = [hardness_bound(*pt) for pt in points]
@@ -209,23 +202,6 @@ def test_batched_check_the_scalar_passes_raises_consistency_error(monkeypatch):
     monkeypatch.setattr(rostop.bound, "_q_derivatives_lanes", negative_third)
     with pytest.raises(ConsistencyError, match=r"at \(a, b, p\) = \(0\.789, 1\.24, 0\.421\)"):
         run_sweep(BRACKET)
-
-
-def test_worker_count_clamped_to_cpus_and_points(monkeypatch):
-    # No process is started: the pool is replaced by a serial recorder.
-    monkeypatch.setattr("rostop.sweep.ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr("rostop.sweep.os.cpu_count", lambda: 4)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    serial = run_sweep(BRACKET, workers=1)
-    assert _RecordingPool.sizes == []
-    assert run_sweep(BRACKET, workers=5000) == serial
-    assert run_sweep(BRACKET, workers=3) == serial
-    tiny = SweepSpec(a=(0.789, 0.789, 0.01), b=(1.24, 1.25, 0.01), p=(0.421, 0.421, 0.01))
-    run_sweep(tiny, workers=5000)
-    assert _RecordingPool.sizes == [4, 3, 2]
-    monkeypatch.setattr("rostop.sweep.os.cpu_count", lambda: None)
-    assert run_sweep(tiny, workers=5000) == run_sweep(tiny, workers=1)
-    assert _RecordingPool.sizes == [4, 3, 2]
 
 
 def test_serial_and_parallel_output_identical():
