@@ -17,11 +17,14 @@ Contents:
 The sandwich inequalities are asymptotic statements, so the diagnostics
 never hard-fail: each check reports its worst margin over the examined
 index range and a pass flag.  The lower bound's tail sums come from one
-cumulative-sum path, exact to a few ulps at every length.  The lower bound
-is an exact identity for the recursion on ``k >= j_n`` and the upper bound's true margin at ``k = n-1`` is
-``a/(2n^2)``, so at large sizes both margins sit at the rounding floor of
-the n-step recursion that built ``phibar``; the sign test therefore allows
-``SIGN_TOLERANCE`` of float noise.
+cumulative-sum path, exact to a few ulps at every length; they are built in
+order of length and read in step order through a reversed view, and each
+bound turns into its margins in place, in its own array.  The lower bound
+is an exact identity for the recursion on ``k >= j_n`` and the upper
+bound's true margin at ``k = n-1`` is ``a/(2n^2)``, so at large sizes both
+margins sit at the rounding floor of the n-step recursion that built
+``phibar``; the sign test therefore allows ``SIGN_TOLERANCE`` of float
+noise.
 """
 
 from __future__ import annotations
@@ -288,17 +291,21 @@ def k_star(a: float, b: float, p: float, n: int) -> int:
     return math.ceil(n * (1.0 - (2.0 - p) * (b - a)) / (1.0 + p * (b - a)))
 
 
-def _lower_bound_tail_sums(eps: float, lengths: np.ndarray) -> np.ndarray:
-    """S(L) = sum_{j=0}^{L-1} ((L-j)/(L+1)) * (1-eps)^j for each tail length L >= 1.
+def _lower_bound_tail_sums(eps: float, max_length: int) -> np.ndarray:
+    """S(L) = sum_{j=0}^{L-1} ((L-j)/(L+1)) * (1-eps)^j for L = 1..max_length, in order.
 
     One path for every length: ``sum_j (L-j) q^j`` is the sum over
     ``r = 1..L`` of the partial geometric sums ``sum_{j<r} q^j``, so a nested
     cumulative sum of ``q^j = exp(j * log1p(-eps))`` gives every ``S(L)``
     from positive terms only, with no cancellation at any ``L * eps``.
     """
-    qpow = np.exp(np.arange(int(lengths.max())) * math.log1p(-eps))
-    nested = np.cumsum(np.cumsum(qpow))  # nested[L-1] = sum_{j<L} (L-j) q^j
-    return nested[lengths - 1] / (lengths + 1.0)
+    s = np.arange(float(max_length))
+    s *= math.log1p(-eps)
+    np.exp(s, out=s)
+    np.cumsum(s, out=s)
+    np.cumsum(s, out=s)  # s[L-1] = sum_{j<L} (L-j) q^j
+    s /= np.arange(2.0, max_length + 2.0)
+    return s
 
 
 def verify_bound_sandwich(
@@ -330,9 +337,11 @@ def verify_bound_sandwich(
 
     k_lo = max(1, times.k_n - 1)
     if k_lo <= n - 1:
-        tails = np.arange(n - k_lo, 0, -1)  # n - k for k = k_lo .. n-1
-        lower = a + coeff * _lower_bound_tail_sums(eps, tails)
-        lower_margin = float(np.min(tables.phibar[k_lo:n] - lower))
+        lower = _lower_bound_tail_sums(eps, n - k_lo)[::-1]  # S(n - k) for k = k_lo .. n-1
+        lower *= coeff
+        lower += a
+        np.subtract(tables.phibar[k_lo:n], lower, out=lower)
+        lower_margin = float(np.min(lower))
     else:
         lower_margin = math.inf
     checks.append(
@@ -342,9 +351,13 @@ def verify_bound_sandwich(
     )
 
     if times.j_n <= n - 1:
-        ks = np.arange(times.j_n, n)
-        upper = a + (n - ks) / 2.0 * (1.0 + (b - a) * p) / n
-        upper_margin = float(np.min(upper - tables.phibar[times.j_n : n]))
+        upper = np.arange(float(n - times.j_n), 0.0, -1.0)  # n - k for k = j_n .. n-1
+        upper /= 2.0
+        upper *= 1.0 + (b - a) * p
+        upper /= n
+        upper += a
+        upper -= tables.phibar[times.j_n : n]
+        upper_margin = float(np.min(upper))
     else:
         upper_margin = math.inf
     checks.append(

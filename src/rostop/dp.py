@@ -19,11 +19,14 @@ with coefficients fixed by whether that entry is below ``b``; each table
 crosses ``b`` once, so the pass splits into two constant-regime segments
 per table, each evaluated in closed form with numpy (a geometric sum for
 ``phi``, one discounted cumulative sum for ``phibar``) in O(n) time and
-memory.  Instances outside the closed form's domain (formal weights of
-unchecked instances, or a regime that switches back) run the recursion
-step by step instead.  The pass runs down to ``k = 0``: ``phibar[0]``, the
-future reward before the first arrival, is the optimal rule's expected
-reward.  Tables are built up to ``n = MAX_TABLE_N``.
+memory.  The pass holds four float arrays of about ``n`` entries, the two
+tables, the step counts ``n + 1 - k`` and one scratch array, and every
+operation writes into one of them in place.  Instances outside the closed
+form's domain (formal weights of unchecked instances, or a regime that
+switches back) run the recursion step by step instead.  The pass runs
+down to ``k = 0``: ``phibar[0]``, the future reward before the first
+arrival, is the optimal rule's expected reward.  Tables are built up to
+``n = MAX_TABLE_N``.
 
 The optimal rule accepts a probed value exactly when it is at least the
 applicable future reward; acceptance on equality is fixed (>=) so runs are
@@ -35,8 +38,8 @@ are the acceptance times; an empty crossing set is encoded as ``n + 1``
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -120,9 +123,15 @@ def _require_table_size(n: int) -> None:
         )
 
 
-def _geometric(x0, eps, terms):
-    # x0 * sum_{i < terms} (1 - eps)^i, elementwise over an array of terms.
-    return x0 * -np.expm1(terms * np.log1p(-eps)) / eps
+def _geometric(x0, eps, terms, expm1):
+    # x0 * sum_{i < terms} (1 - eps)^i for a number of terms, or elementwise
+    # over a float array of terms, which is overwritten when ``expm1`` writes
+    # in place.  x0 * -e is computed as e * -x0, the same float.
+    terms *= np.log1p(-eps)
+    terms = expm1(terms)
+    terms *= -x0
+    terms /= eps
+    return terms
 
 
 def _first(flags: np.ndarray) -> int:
@@ -131,37 +140,38 @@ def _first(flags: np.ndarray) -> int:
     return i if flags[i] else flags.size
 
 
-def _discounted_sums(g0: float, rate: float, u: np.ndarray) -> np.ndarray:
-    # G_i = beta^i * (g0 + sum_{l <= i} beta^-l * u_l) for i = 1..len(u) and
-    # beta = 1 - rate: the recursion G_i = u_i + beta * G_{i-1} as one
-    # cumulative sum.  On feasible instances every term is positive, so the
-    # sum does not cancel.
-    w = np.arange(1.0, u.size + 1.0)
-    w *= -math.log1p(-rate)
+def _discounted_sums(
+    g0: float, rate: float, steps: np.ndarray, w: np.ndarray, out: np.ndarray
+) -> None:
+    # G_i = beta^i * (g0 + sum_{l <= i} beta^-l * u_l) for beta = 1 - rate:
+    # the recursion G_i = u_i + beta * G_{i-1} as one cumulative sum, run
+    # backwards because entry j belongs to step i = steps[j], which descends
+    # to 1.  ``out`` holds u on entry and G on return; ``w`` is scratch.  On
+    # feasible instances every term is positive, so the sum does not cancel.
+    np.multiply(steps, -math.log1p(-rate), out=w)
     np.exp(w, out=w)
-    s = u * w
-    np.cumsum(s, out=s)
-    s += g0
-    s /= w
-    return s
+    out *= w
+    np.cumsum(out[::-1], out=out[::-1])
+    out += g0
+    out /= w
 
 
 def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] | None:
     """Both tables from the closed forms of their constant-regime segments.
 
-    Indexed by ``m = n - k``.  While ``phi[k+1] < b`` the step is
-    ``phi[k] = x0 + (1 - eps) * phi[k+1]``, a geometric sum; from the first
-    ``m`` where ``phi`` reaches ``b`` it is ``phi[k] = top + (1 - w_top) *
-    phi[k+1]``, which relaxes geometrically to its fixed point ``n``.  With
-    ``g[k] = (n+1-k) * phibar[k]`` the ``phibar`` step is affine in ``g``,
-    ``g[k] = (a v phi[k+1]) + (n-k) * c + beta * g[k+1]``, with ``(c, beta)``
-    equal to ``(x0, 1 - eps)`` while ``phibar[k+1] < b`` and ``(top, 1 -
-    w_top)`` after, so each segment is one discounted cumulative sum.  The
-    regime switches are read off the computed values with the loop's own
-    comparison (``b > x`` is the low regime).  Returns ``None`` where the
-    rates are not in (0, 1), the discount over ``n`` steps would overflow,
-    or a regime flag flips back after its switch: the scalar loop handles
-    those instances.
+    Written in step order ``k``, with ``rem = n + 1 - k``.  While ``phi[k+1]
+    < b`` the step is ``phi[k] = x0 + (1 - eps) * phi[k+1]``, a geometric
+    sum; from the last ``k`` where ``phi`` reaches ``b`` it is ``phi[k] = top
+    + (1 - w_top) * phi[k+1]``, which relaxes geometrically to its fixed
+    point ``n``.  With ``g[k] = rem * phibar[k]`` the ``phibar`` step is
+    affine in ``g``, ``g[k] = (a v phi[k+1]) + (n-k) * c + beta * g[k+1]``,
+    with ``(c, beta)`` equal to ``(x0, 1 - eps)`` while ``phibar[k+1] < b``
+    and ``(top, 1 - w_top)`` after, so each segment is one discounted
+    cumulative sum.  The regime switches are read off the computed values
+    with the loop's own comparison (``b > x`` is the low regime).  Returns
+    ``None`` where the rates are not in (0, 1), the discount over ``n``
+    steps would overflow, or a regime flag flips back after its switch: the
+    scalar loop handles those instances.
     """
     n = inst.n
     a, b, p = inst.a, inst.b, inst.p
@@ -171,30 +181,40 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] |
         return None
     x0 = (1.0 + b * p) / n
     top = w_top * n
-    rem = np.arange(1.0, n + 2.0)  # m + 1 = n + 1 - k
+    rem = np.arange(n + 1.0, 0.0, -1.0)
+    w = np.empty(n)
 
-    phi = _geometric(x0, eps, rem)
-    phi[0] = x0
-    m1 = _first(~(b > phi[:n]))
-    if m1 < n:
-        x_star = phi[m1]
-        phi[m1 + 1:] = x_star + (n - x_star) * -np.expm1(rem[:n - m1] * math.log1p(-w_top))
-        if (b > phi[m1:n]).any():
+    phi = _geometric(x0, eps, rem.copy(), lambda z: np.expm1(z, out=z))
+    phi[n] = x0
+    s1 = n - _first(~(b > phi[:0:-1]))  # phi[k] < b for every k > s1
+    if s1 > 0:
+        x_star = phi[s1]
+        head = phi[:s1]
+        np.multiply(rem[n + 1 - s1:], math.log1p(-w_top), out=head)
+        np.expm1(head, out=head)
+        head *= x_star - n  # (n - x_star) * -expm1, the same float
+        head += x_star
+        if (b > phi[1:s1 + 1]).any():
             return None
 
-    u = np.maximum(a, phi[:n])
-    g = np.empty(n + 1)
-    g[0] = a
-    g[1:] = _discounted_sums(a, eps, rem[:n] * x0 + u)
-    phibar = g / rem
-    m2 = _first(~(b > phibar[:n]))
-    if m2 < n:
-        u[m2:] += rem[m2:n] * top
-        g[m2 + 1:] = _discounted_sums(g[m2], w_top, u[m2:])
-        phibar[m2 + 1:] = g[m2 + 1:] / rem[m2 + 1:]
-        if (b > phibar[m2:n]).any():
+    phibar = np.empty(n + 1)  # g = rem * phibar until divided in place
+    np.maximum(a, phi[1:], out=phibar[:n])
+    phibar[:n] += np.multiply(rem[1:], x0, out=w)
+    _discounted_sums(a, eps, rem[1:], w, phibar[:n])
+    phibar[n] = a
+    np.divide(phibar[1:], rem[1:], out=w)  # phibar[1:], read before g is divided in place
+    s2 = n - _first(~(b > w[::-1]))  # phibar[k] < b for every k > s2
+    g0 = phibar[s2]
+    phibar /= rem
+    if s2 > 0:
+        head = phibar[:s2]
+        np.maximum(a, phi[1:s2 + 1], out=head)
+        head += np.multiply(rem[1:s2 + 1], top, out=w[:s2])
+        _discounted_sums(g0, w_top, rem[n + 1 - s2:], w[:s2], head)
+        head /= rem[:s2]
+        if (b > phibar[1:s2 + 1]).any():
             return None
-    return phi[::-1].copy(), phibar[::-1].copy()
+    return phi, phibar
 
 
 def _backward_loop(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +253,7 @@ def _require_matching_tables(inst: InstanceParams, tables: ThresholdTables) -> N
         )
 
 
-def _first_crossing(table: np.ndarray, value: float, n: int) -> int:
+def _first_crossing(table: np.ndarray, value: float) -> int:
     # min{k in [1, n]: value >= table[k]}, or n+1 when the set is empty.
     return 1 + _first(table[1:] <= value)
 
@@ -242,9 +262,9 @@ def acceptance_times(tables: ThresholdTables, inst: InstanceParams) -> Acceptanc
     """Acceptance times of ``a`` and ``b`` read off the tables (>= comparisons)."""
     _require_matching_tables(inst, tables)
     n = tables.n
-    k_n = _first_crossing(tables.phi, inst.b, n)
-    kbar_n = _first_crossing(tables.phibar, inst.b, n)
-    j_n = _first_crossing(tables.phi, inst.a, n)
+    k_n = _first_crossing(tables.phi, inst.b)
+    kbar_n = _first_crossing(tables.phibar, inst.b)
+    j_n = _first_crossing(tables.phi, inst.a)
     return AcceptanceTimes(
         n=n,
         j_n=j_n,
@@ -284,7 +304,7 @@ def phi_closed_form(inst: InstanceParams, i: int) -> float:
     x0 = (1.0 + inst.b * inst.p) / n
     if i == n:
         return x0  # single-term sum, exact
-    return float(_geometric(x0, inst.p / n + 1.0 / (n * n), n - i + 1))
+    return float(_geometric(x0, inst.p / n + 1.0 / (n * n), n - i + 1, np.expm1))
 
 
 def gambler_prophet_ratio(inst: InstanceParams, tables: ThresholdTables | None = None) -> float:
@@ -294,23 +314,44 @@ def gambler_prophet_ratio(inst: InstanceParams, tables: ThresholdTables | None =
     return optimal_value(inst, tables) / prophet_exact(inst)
 
 
+def _curve_columns(
+    tables: ThresholdTables, stride: int
+) -> tuple[list[int], list[float], list[float]]:
+    # Steps k = 1, 1+stride, ... plus always n, and phi/phibar at them.
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    n = tables.n
+    ks = list(range(1, n + 1, stride))
+    phi = tables.phi[1::stride].tolist()
+    phibar = tables.phibar[1::stride].tolist()
+    if ks[-1] != n:
+        ks.append(n)
+        phi.append(tables.phi.item(n))
+        phibar.append(tables.phibar.item(n))
+    return ks, phi, phibar
+
+
 def emit_threshold_curves(
     tables: ThresholdTables, stride: int
 ) -> list[tuple[int, float, float]]:
-    """Rows ``(k, phi[k], phibar[k])`` for ``k = 1, 1+stride, ...`` plus always ``k = n``."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    ks = list(range(1, tables.n + 1, stride))
-    if ks[-1] != tables.n:
-        ks.append(tables.n)
-    return [(k, float(tables.phi[k]), float(tables.phibar[k])) for k in ks]
+    """Rows ``(k, phi[k], phibar[k])`` for ``k = 1, 1+stride, ...`` plus always ``k = n``.
+
+    ``stride`` must be an integer of at least 1 (not a bool); anything else
+    raises ``ValueError``.
+    """
+    return list(zip(*_curve_columns(tables, stride)))
 
 
 def write_threshold_csv(tables: ThresholdTables, stride: int, out: IO[str]) -> None:
     """CSV emission: header ``k,phi,phibar``, 15 significant digits, LF endings.
 
-    The rows are formatted in one operation and written in one call, and a
-    bad ``stride`` raises before anything is written.
+    The rows are formatted in one operation, and a bad ``stride`` raises
+    before anything is written.
     """
-    rows = emit_threshold_curves(tables, stride)
-    out.write("k,phi,phibar\n" + "%d,%.15g,%.15g\n" * len(rows) % tuple(chain.from_iterable(rows)))
+    ks, phi, phibar = _curve_columns(tables, stride)
+    fields = [None] * (3 * len(ks))
+    fields[0::3] = ks
+    fields[1::3] = phi
+    fields[2::3] = phibar
+    out.write("k,phi,phibar\n")
+    out.write("%d,%.15g,%.15g\n" * len(ks) % tuple(fields))

@@ -252,8 +252,8 @@ def simulate_policy(
     # monotone, so "value >= table[k]" is exactly "k >= first crossing".
     # acceptance_times also rejects tables built for another size.
     times = acceptance_times(tables, inst)
-    acc_top_after = _first_crossing(tables.phi, nv, n)
-    acc_top_before = _first_crossing(tables.phibar, nv, n)
+    acc_top_after = _first_crossing(tables.phi, nv)
+    acc_top_before = _first_crossing(tables.phibar, nv)
     acc_b_after, acc_b_before, acc_a = times.k_n, times.kbar_n, times.j_n
 
     def walk(rng: np.random.Generator, pos_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

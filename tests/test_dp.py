@@ -212,6 +212,24 @@ def test_curve_stride_validation(ref_dp):
         emit_threshold_curves(tables, 0)
 
 
+@pytest.mark.parametrize("stride", [True, 2.0, 0])
+def test_stride_must_be_a_positive_integer(ref_dp, stride):
+    # True would read as 1 and 2.0 would fail inside range(); both are refused
+    # like 0, and the CSV writer refuses before writing anything.
+    _, tables, _ = ref_dp.get(1000)
+    with pytest.raises(ValueError, match="stride"):
+        emit_threshold_curves(tables, stride)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="stride"):
+        write_threshold_csv(tables, stride, buf)
+    assert buf.getvalue() == ""
+
+
+def test_numpy_integer_stride_accepted(ref_dp):
+    _, tables, _ = ref_dp.get(1000)
+    assert emit_threshold_curves(tables, np.int64(7)) == emit_threshold_curves(tables, 7)
+
+
 def test_threshold_csv_format():
     inst = _ref_instance(4)
     tables = compute_thresholds(inst)
