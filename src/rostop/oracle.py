@@ -37,7 +37,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .asymptotics import ConsistencyError
-from .dp import ThresholdTables, _first_crossing, acceptance_times
+from .dp import ThresholdTables, _require_matching_tables, _sorted_crossing
 from .instance import InstanceParams
 
 __all__ = [
@@ -235,6 +235,7 @@ def simulate_policy(
     "never accept before the end").
     """
     _require_simulatable(inst, trials)
+    _require_matching_tables(inst, tables)
     n = inst.n
     for table in (tables.phi, tables.phibar):
         if not np.all(table[1:] > 0.0):
@@ -250,11 +251,11 @@ def simulate_policy(
     # First step from which each support value is accepted, before/after the
     # constant's slot; the walk only needs these because the tables are
     # monotone, so "value >= table[k]" is exactly "k >= first crossing".
-    # acceptance_times also rejects tables built for another size.
-    times = acceptance_times(tables, inst)
-    acc_top_after = _first_crossing(tables.phi, nv)
-    acc_top_before = _first_crossing(tables.phibar, nv)
-    acc_b_after, acc_b_before, acc_a = times.k_n, times.kbar_n, times.j_n
+    acc_top_after = _sorted_crossing(tables.phi, nv)
+    acc_top_before = _sorted_crossing(tables.phibar, nv)
+    acc_b_after = _sorted_crossing(tables.phi, b)
+    acc_b_before = _sorted_crossing(tables.phibar, b)
+    acc_a = _sorted_crossing(tables.phi, a)
 
     def walk(rng: np.random.Generator, pos_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = pos_a.size

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rostop import (
 from rostop.dp import _backward_loop, _closed_form_tables
 
 from conftest import PERTURBED, REF_PARAMS
+from test_bit_identity import _csv, _reference_csv
 
 
 def _ref_instance(n):
@@ -240,6 +242,108 @@ def test_threshold_csv_format():
     assert lines[1] == f"1,{tables.phi[1]:.15g},{tables.phibar[1]:.15g}"
     assert len(lines) == 6 and lines[-1] == ""
     assert "\r" not in buf.getvalue()
+
+
+def _hand_built(values):
+    # Tables whose rows k = 1..n hold the values in order, phibar reversed.
+    tail = np.asarray(values, dtype=float)
+    return ThresholdTables(
+        n=tail.size,
+        phi=np.concatenate(([np.nan], tail)),
+        phibar=np.concatenate(([np.nan], tail[::-1])),
+    )
+
+
+def _formatter_cases(rng, size):
+    """Doubles where '%.15g' is hard to reproduce, in random order."""
+    # exact ties at the 15th digit: f / 2^j with f * 5^j odd and of 16 digits
+    j = rng.integers(1, 20, size)
+    f = np.floor(rng.uniform(1e15 / 5.0**j, 1e16 / 5.0**j)).astype(np.int64) | 1
+    keep = (f * 5**j >= 10**15) & (f * 5**j < 10**16)
+    ties = f[keep] / 2.0 ** j[keep]
+    decimals = rng.integers(10**14, 10**15, size) * 10.0 ** rng.integers(-19, 1, size)
+    spread = 10.0 ** rng.uniform(-7.0, 17.0, size)
+    powers = 10.0 ** np.arange(-7.0, 18.0)
+    # a few ulps below a power of ten: log10 may round up to the power
+    below = (powers[:, None] - np.spacing(powers)[:, None] * np.arange(1.0, 17.0)).ravel()
+    edges = np.array([1e-4, 1e-5, 1e14, 1e15, 9.9999999999999995e-5, 999999999999999.5,
+                      123456789012345.5, 12345678901234.25, 0.5, 1.0, 5.0, 12345.0, 2.0**40,
+                      0.0, -0.0, -1.5, -123.456, np.inf, -np.inf, np.nan])
+    pool = np.concatenate([ties, decimals, spread, powers, below, edges])
+    with np.errstate(invalid="ignore"):
+        pool = np.concatenate([pool, np.nextafter(pool, np.inf), np.nextafter(pool, -np.inf)])
+    return rng.permutation(pool)
+
+
+def test_csv_rows_equal_percent_formatting_on_hard_doubles(monkeypatch):
+    # Ties, powers of ten, the 1e-4 / 1e-5 and 1e15 edges of %g's fixed
+    # notation, their neighbours, integers, zeros, negatives, nan and inf,
+    # in blocks of 1,000 rows so that the fast path also meets the
+    # block edges.
+    monkeypatch.setattr(dp_module, "_CSV_BLOCK", 1000)
+    tables = _hand_built(_formatter_cases(np.random.default_rng(18), 6000))
+    assert tables.n > 20_000
+    assert _csv(tables, 1) == _reference_csv(tables, 1)
+    assert _csv(tables, 7) == _reference_csv(tables, 7)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_csv_equal_across_block_edges_and_the_cutoff(monkeypatch, stride):
+    block = 600
+    monkeypatch.setattr(dp_module, "_CSV_BLOCK", block)
+    cutoff = dp_module._CSV_MIN_ROWS
+    for rows in (cutoff - 1, cutoff, block - 1, block, block + 1, 3 * block + 1):
+        # n with this many rows; for stride 7 the last row is the appended k = n
+        n = rows if stride == 1 else 7 * (rows - 2) + 2
+        tables = compute_thresholds(_ref_instance(n))
+        assert dp_module._curve_rows(tables, stride) == rows
+        assert _csv(tables, stride) == _reference_csv(tables, stride), rows
+
+
+def test_csv_writer_memory_bounded_by_the_block(monkeypatch):
+    # A sink that drops the text leaves only the writer's own allocations.
+    class Sink:
+        def write(self, text):
+            pass
+
+    block = 1024
+    monkeypatch.setattr(dp_module, "_CSV_BLOCK", block)
+    peaks = []
+    for blocks in (4, 16):
+        tables = compute_thresholds(_ref_instance(blocks * block))
+        tracemalloc.start()
+        try:
+            write_threshold_csv(tables, 1, Sink())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("n, entries", [(10, 6), (3, 9), (0, 1)])
+def test_curves_need_n_plus_one_entries(n, entries):
+    # n = 10 with 6 entries gave 5 rows and no k = n row; n = 3 with 9
+    # entries leaked numpy's slice-assignment error from the CSV writer.
+    values = np.linspace(2.0, 1.0, entries)
+    tables = ThresholdTables(n=n, phi=values, phibar=values)
+    with pytest.raises(ValueError, match=f"n={n} need n \\+ 1 >= 2 entries each, got {entries}"):
+        emit_threshold_curves(tables, 1)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=f"got {entries}"):
+        write_threshold_csv(tables, 1, buf)
+    assert buf.getvalue() == ""
+
+
+def test_sorted_crossing_equals_scan_on_nonincreasing_tables():
+    # simulate_policy bisects its checked tables; acceptance_times scans.
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        levels = np.array([np.inf, 5.0, 3.0, 2.5, 2.0, 1.0, 0.5])
+        table = np.concatenate(([np.nan], np.sort(rng.choice(levels, n))[::-1]))
+        for value in (*levels, 0.1, 0.75, 2.2, 6.0):
+            expected = dp_module._first_crossing(table, value)
+            assert dp_module._sorted_crossing(table, value) == expected, (table, value)
 
 
 def test_backward_pass_bit_reproducible():
