@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,13 +87,9 @@ class DiagnosticCheck:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "k_lo": self.k_lo,
-            "k_hi": self.k_hi,
-            "worst_margin": self.worst_margin,
-            "pass": self.passed,
-        }
+        row = asdict(self)
+        row["pass"] = row.pop("passed")
+        return row
 
 
 @dataclass(frozen=True)
@@ -185,7 +181,7 @@ def q_derivatives(
     unsimplified derivative and raises :class:`ConsistencyError` if the two
     disagree beyond 1e-12, so a wrong ``lambda_star`` cannot pass silently.
     """
-    mu_star = 1.0 - math.log1p(b * p) / p
+    mu_star = _limits(a, b, p, math.log1p)[1]
     if not mu_star <= nu <= lambda_star:
         raise ParameterError(
             f"nu={nu!r} outside [mu*, lambda*] = [{mu_star!r}, {lambda_star!r}]"
@@ -324,7 +320,13 @@ def verify_bound_sandwich(
     bounds are evaluated to a few ulps, so a negative float margin is the
     rounding drift of ``phibar``'s own recursion; the two float-valued
     checks pass within ``-SIGN_TOLERANCE``, the two integer checks are
-    exact.
+    exact.  A bound with an empty index range (``k_n - 1`` or ``j_n`` past
+    ``n - 1``) reports ``worst_margin = inf`` and passes.
+
+    :func:`~rostop.instance.validate` does not imply ``kbar_n <= k*``: at the
+    feasible point ``(0.75, 1.28, 0.48)``, ``kbar_n/n`` tends to ``nu* =
+    0.159265``, above the limit 0.154975 of ``k*/n``, so ``ordering`` fails
+    at every size (margin -43 at n = 10^4, -4290 at n = 10^6).
     """
     _require_matching_tables(inst, tables)
     _require_matching_times(inst, times)
@@ -336,30 +338,24 @@ def verify_bound_sandwich(
     coeff = (1.0 + (b - a) * p) / n - a / (n * n)
 
     k_lo = max(1, times.k_n - 1)
-    if k_lo <= n - 1:
-        lower = _lower_bound_tail_sums(eps, n - k_lo)[::-1]  # S(n - k) for k = k_lo .. n-1
-        lower *= coeff
-        lower += a
-        np.subtract(tables.phibar[k_lo:n], lower, out=lower)
-        lower_margin = float(np.min(lower))
-    else:
-        lower_margin = math.inf
+    lower = _lower_bound_tail_sums(eps, n - k_lo)[::-1]  # S(n - k) for k = k_lo .. n-1
+    lower *= coeff
+    lower += a
+    np.subtract(tables.phibar[k_lo:n], lower, out=lower)
+    lower_margin = float(np.min(lower, initial=math.inf))
     checks.append(
         DiagnosticCheck(
             "lower_bound", k_lo, n - 1, lower_margin, lower_margin >= -SIGN_TOLERANCE
         )
     )
 
-    if times.j_n <= n - 1:
-        upper = np.arange(float(n - times.j_n), 0.0, -1.0)  # n - k for k = j_n .. n-1
-        upper /= 2.0
-        upper *= 1.0 + (b - a) * p
-        upper /= n
-        upper += a
-        upper -= tables.phibar[times.j_n : n]
-        upper_margin = float(np.min(upper))
-    else:
-        upper_margin = math.inf
+    upper = np.arange(float(n - times.j_n), 0.0, -1.0)  # n - k for k = j_n .. n-1
+    upper /= 2.0
+    upper *= 1.0 + (b - a) * p
+    upper /= n
+    upper += a
+    upper -= tables.phibar[times.j_n : n]
+    upper_margin = float(np.min(upper, initial=math.inf))
     checks.append(
         DiagnosticCheck(
             "upper_bound", times.j_n, n - 1, upper_margin, upper_margin >= -SIGN_TOLERANCE

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
@@ -93,22 +93,9 @@ class HardnessBound:
     rtol: float = DEFAULT_RTOL
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a,
-                "b": self.b,
-                "p": self.p,
-                "lambda_star": self.lambda_star,
-                "mu_star": self.mu_star,
-                "nu_hat": self.nu_hat,
-                "m": self.m,
-                "M": self.M,
-                "case": self.case,
-                "nu_error_bound": self.nu_error_bound,
-                "q_error_bound": self.q_error_bound,
-                "iterations": self.iterations,
-            }
-        )
+        fields = asdict(self)
+        del fields["xtol"], fields["rtol"]
+        return json.dumps(fields)
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,7 @@ _COMMANDS = {
     "dp": (_cmd_dp, ("a", "b", "p", "n")),
     "bound": (_cmd_bound, ("a", "b", "p")),
     "simulate": (_cmd_simulate, ("a", "b", "p", "n")),
+    "sweep": (_cmd_sweep, ()),
     "figure": (_cmd_figure, ("a", "b", "p", "n")),
 }
 
@@ -285,8 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
         handler, names = _COMMANDS[args.command]
         _merge_params(args, names)
         if "n" in names and args.command != "validate" and args.n is None:

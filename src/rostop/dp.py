@@ -196,15 +196,14 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] |
     phi = _geometric(x0, eps, rem.copy(), lambda z: np.expm1(z, out=z))
     phi[n] = x0
     s1 = n - _first(~(b > phi[:0:-1]))  # phi[k] < b for every k > s1
-    if s1 > 0:
-        x_star = phi[s1]
-        head = phi[:s1]
-        np.multiply(rem[n + 1 - s1:], math.log1p(-w_top), out=head)
-        np.expm1(head, out=head)
-        head *= x_star - n  # (n - x_star) * -expm1, the same float
-        head += x_star
-        if (b > phi[1:s1 + 1]).any():
-            return None
+    x_star = phi[s1]
+    head = phi[:s1]  # empty when s1 = 0, and every step below is then a no-op
+    np.multiply(rem[n + 1 - s1:], math.log1p(-w_top), out=head)
+    np.expm1(head, out=head)
+    head *= x_star - n  # (n - x_star) * -expm1, the same float
+    head += x_star
+    if (b > phi[1:s1 + 1]).any():
+        return None
 
     phibar = np.empty(n + 1)  # g = rem * phibar until divided in place
     np.maximum(a, phi[1:], out=phibar[:n])
@@ -215,14 +214,13 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] |
     s2 = n - _first(~(b > w[::-1]))  # phibar[k] < b for every k > s2
     g0 = phibar[s2]
     phibar /= rem
-    if s2 > 0:
-        head = phibar[:s2]
-        np.maximum(a, phi[1:s2 + 1], out=head)
-        head += np.multiply(rem[1:s2 + 1], top, out=w[:s2])
-        _discounted_sums(g0, w_top, rem[n + 1 - s2:], w[:s2], head)
-        head /= rem[:s2]
-        if (b > phibar[1:s2 + 1]).any():
-            return None
+    head = phibar[:s2]
+    np.maximum(a, phi[1:s2 + 1], out=head)
+    head += np.multiply(rem[1:s2 + 1], top, out=w[:s2])
+    _discounted_sums(g0, w_top, rem[n + 1 - s2:], w[:s2], head)
+    head /= rem[:s2]
+    if (b > phibar[1:s2 + 1]).any():
+        return None
     return phi, phibar
 
 

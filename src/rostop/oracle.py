@@ -100,7 +100,12 @@ def write_histogram_csv(report: SimulationReport, out: IO[str]) -> None:
 
 
 def _continuation_table(inst: InstanceParams) -> dict[tuple[float, ...], float]:
-    """Map every history to its continuation value, by memoised recursion."""
+    """Map every history to its continuation value, by recursion over the history tree.
+
+    Each history is reached once, through its prefix, while the values ``n``,
+    ``b``, ``0`` and ``a`` are distinct (on every checked instance); where two
+    coincide it is evaluated again, to the same value.
+    """
     n = inst.n
     if n > MAX_ORACLE_SIZE:
         raise OracleSizeError(f"n={n} exceeds the exhaustive limit {MAX_ORACLE_SIZE}")
@@ -118,9 +123,6 @@ def _continuation_table(inst: InstanceParams) -> dict[tuple[float, ...], float]:
         return max(x, continuation(h2))
 
     def continuation(hist: tuple[float, ...]) -> float:
-        cached = table.get(hist)
-        if cached is not None:
-            return cached
         k = len(hist)
         ev = (w_top * gamma(hist, nv) + w_mid * gamma(hist, b)) + w_zero * gamma(hist, 0.0)
         if a in hist:

@@ -20,6 +20,7 @@ from rostop import (
     partial_sums,
     q_derivatives,
     q_eval,
+    validate,
     verify_bound_sandwich,
 )
 from rostop.asymptotics import _lower_bound_tail_sums
@@ -319,7 +320,46 @@ def test_sandwich_upper_bound_base_case(ref_dp):
 
 def test_sandwich_report_json(ref_dp):
     inst, tables, times = ref_dp.get(10**4)
-    rows = json.loads(verify_bound_sandwich(inst, tables, times).to_json())
-    assert len(rows) == 4
+    report = verify_bound_sandwich(inst, tables, times)
+    text = report.to_json()
+    rows = json.loads(text)
+    assert [row["check"] for row in rows] == [
+        "lower_bound", "upper_bound", "ordering", "kstar_below_j"
+    ]
     for row in rows:
-        assert set(row) == {"check", "k_lo", "k_hi", "worst_margin", "pass"}
+        assert list(row) == ["check", "k_lo", "k_hi", "worst_margin", "pass"]
+    assert text == json.dumps(
+        [
+            {"check": c.check, "k_lo": c.k_lo, "k_hi": c.k_hi,
+             "worst_margin": c.worst_margin, "pass": c.passed}
+            for c in report.checks
+        ]
+    )
+    with pytest.raises(KeyError):
+        report.check("nope")
+
+
+def test_sandwich_empty_index_ranges_pass_with_infinite_margin():
+    # Hand-built times past the table: both bounds examine no index.
+    n = 50
+    inst, _ = make_instance(*REF_PARAMS, n)
+    tables = compute_thresholds(inst)
+    times = AcceptanceTimes(n, n + 1, n + 1, n + 1, (n + 1) / n, (n + 1) / n, (n + 1) / n)
+    report = verify_bound_sandwich(inst, tables, times)
+    for name, k_lo in (("lower_bound", n), ("upper_bound", n + 1)):
+        row = report.check(name)
+        assert (row.k_lo, row.k_hi) == (k_lo, n - 1)
+        assert row.worst_margin == math.inf and row.passed
+
+
+def test_sandwich_ordering_fails_at_a_feasible_point():
+    # kbar_n/n tends to nu* = 0.159265, above k*/n -> 0.154975: the eight
+    # feasibility checks do not imply kbar_n <= k*.  Reported, not raised.
+    point, n = (0.75, 1.28, 0.48), 10**4
+    assert validate(*point, n).passed
+    inst, _ = make_instance(*point, n)
+    tables = compute_thresholds(inst)
+    report = verify_bound_sandwich(inst, tables, acceptance_times(tables, inst))
+    row = report.check("ordering")
+    assert (row.k_lo, row.k_hi, row.worst_margin, row.passed) == (23, 1550, -43.0, False)
+    assert not report.passed

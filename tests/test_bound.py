@@ -276,11 +276,15 @@ def test_certificate_rejects_nonconvex_qprime(monkeypatch):
 def test_bound_json_fields():
     import json
 
-    payload = json.loads(hardness_bound(*REF_PARAMS).to_json())
-    assert set(payload) == {
+    names = [
         "a", "b", "p", "lambda_star", "mu_star", "nu_hat", "m", "M",
         "case", "nu_error_bound", "q_error_bound", "iterations",
-    }
+    ]
+    for point in (REF_PARAMS, *PERTURBED):
+        hb = hardness_bound(*point)
+        text = hb.to_json()
+        assert list(json.loads(text)) == names
+        assert text == json.dumps({name: getattr(hb, name) for name in names})
 
 
 def test_runtime_under_one_second():

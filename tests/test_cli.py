@@ -120,6 +120,23 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_config_rejects_line_without_separator(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("a = 0.789\nb 1.24\np = 0.421\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "config line not key=value: 'b 1.24'" in capsys.readouterr().err
+
+
+def test_dp_thresholds_out_matches_figure(tmp_path, capsys):
+    curves, dp_curves = tmp_path / "curves.csv", tmp_path / "dp-curves.csv"
+    argv = [*ABP, "--n", "1000000", "--stride", "1000"]
+    assert main(["figure", *argv, "--out", str(curves)]) == 0
+    assert main(["dp", *argv, "--thresholds-out", str(dp_curves)]) == 0
+    assert dp_curves.read_bytes() == curves.read_bytes()
+    # header, k = 1, 1001, ..., 999001, and the appended terminal row k = n
+    assert curves.read_text().count("\n") == 1 + 1000 + 1
+
+
 def test_figure_csv(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     assert main(["figure", *ABP, "--n", "100", "--out", str(out), "--stride", "7"]) == 0
@@ -186,6 +203,10 @@ def test_sweep_command(tmp_path, capsys):
 def test_sweep_bad_range_syntax(capsys):
     assert main(["sweep", "--a", "0.7:0.8", "--b", "1.2:1.3:0.1",
                  "--p", "0.4:0.5:0.1", "--out", "/dev/null"]) == 2
+    # three parts, one of which is not a number
+    assert main(["sweep", "--a", "x:1:0.1", "--b", "1.2:1.3:0.1",
+                 "--p", "0.4:0.5:0.1", "--out", "/dev/null"]) == 2
+    assert "could not convert string to float: 'x'" in capsys.readouterr().err
 
 
 def test_sweep_non_finite_range_exits_two(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rostop import make_instance, prophet_exact, prophet_limit, validate
+from rostop import ParameterError, make_instance, prophet_exact, prophet_limit, validate
 
 from conftest import REF_PARAMS
 
@@ -34,6 +34,15 @@ def test_limit_small_and_large_p():
     a, b = 0.789, 1.24
     assert prophet_limit(a, b, 1e-12) == pytest.approx(1.0 + a, rel=1e-9)
     assert prophet_limit(a, b, 60.0) == pytest.approx(1.0 + b, rel=1e-12)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("bad", [0.0, -0.5])
+def test_limit_rejects_non_positive_parameters(index, bad):
+    params = list(REF_PARAMS)
+    params[index] = bad
+    with pytest.raises(ParameterError, match="a, b, p must be positive"):
+        prophet_limit(*params)
 
 
 def test_first_term_tends_to_one():

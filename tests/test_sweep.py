@@ -69,6 +69,8 @@ def test_spec_validation():
         SweepSpec(a=(0.1, 0.9, 0.0), b=(1.0, 1.1, 0.1), p=(0.1, 0.2, 0.1))
     with pytest.raises(ValueError):
         SweepSpec(a=(0.1, 0.9, 0.1), b=(1.0, 1.1, 0.1), p=(0.1, 0.2, 0.1), shrink=1.0)
+    with pytest.raises(ValueError, match="refine_rounds must be >= 0"):
+        SweepSpec(a=(0.1, 0.9, 0.1), b=(1.0, 1.1, 0.1), p=(0.1, 0.2, 0.1), refine_rounds=-1)
 
 
 @pytest.mark.parametrize(
