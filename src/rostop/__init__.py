@@ -18,7 +18,6 @@ from .dp import (
     ThresholdTables,
     acceptance_times,
     compute_thresholds,
-    emit_threshold_curves,
     gambler_prophet_ratio,
     optimal_value,
     phi_closed_form,

@@ -334,7 +334,8 @@ def verify_bound_sandwich(
     a, b, p = inst.a, inst.b, inst.p
     checks = []
 
-    eps = p / n + 1.0 / (n * n)
+    w_top, w_mid, _ = inst.distribution().masses
+    eps = w_mid + w_top
     coeff = (1.0 + (b - a) * p) / n - a / (n * n)
 
     k_lo = max(1, times.k_n - 1)

@@ -3,7 +3,8 @@
 Subcommands: validate, dp, bound, simulate, sweep, figure.  Exit codes:
 0 success, 1 infeasible parameters or failed validation, 2 usage error
 (including tolerances the bisection cannot meet and sizes above
-``dp.MAX_TABLE_N`` where tables are built).
+``dp.MAX_TABLE_N`` where tables are built) or a numerical check that fails at a
+feasible point (``ConsistencyError``, ``CertificationError``), reported on one ``error:`` line.
 Parameters may come from flags or from a flat key-value config file
 (``--config``; keys a, b, p, n only, n integral; ``key = value`` lines,
 ``#`` comments); flags win over the file.  All outputs are deterministic
@@ -17,14 +18,17 @@ import json
 import sys
 from pathlib import Path
 
-from .bound import DEFAULT_RTOL, DEFAULT_XTOL, MaxIterationsError, certify, hardness_bound
+from .asymptotics import ConsistencyError
+from .bound import (
+    DEFAULT_RTOL, DEFAULT_XTOL, CertificationError, MaxIterationsError, certify, hardness_bound
+)
 from .dp import (
     acceptance_times,
     compute_thresholds,
     optimal_value,
     write_threshold_csv,
 )
-from .instance import InfeasibleInstanceError, ParameterError, make_instance, validate
+from .instance import InfeasibleInstanceError, make_instance, validate
 from .oracle import simulate_policy, simulate_prophet, write_histogram_csv
 from .prophet import prophet_exact
 from .sweep import SweepSpec, dp_cross_check, refine, run_sweep, write_sweep_csv
@@ -297,12 +301,9 @@ def main(argv: list[str] | None = None) -> int:
             if not c.passed:
                 print(f"  {c.name}: lhs={c.lhs:.12g} rhs={c.rhs:.12g} FAIL", file=sys.stderr)
         return 1
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, ValueError, MaxIterationsError) as exc:
+    except (OSError, ValueError, MaxIterationsError, ConsistencyError, CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

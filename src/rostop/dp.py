@@ -65,7 +65,6 @@ __all__ = [
     "optimal_value",
     "phi_closed_form",
     "gambler_prophet_ratio",
-    "emit_threshold_curves",
     "write_threshold_csv",
 ]
 
@@ -85,11 +84,20 @@ class ThresholdTables:
     the optimal value.  ``phi[0]`` is NaN, since the constant cannot have
     been seen before any arrival.
     Arrays are read-only; a finished table is safe to share across threads.
+    Construction raises ``ValueError`` unless ``n >= 1`` and both arrays hold ``n + 1`` entries.
     """
 
     n: int
     phi: np.ndarray
     phibar: np.ndarray
+
+    def __post_init__(self):
+        n = self.n
+        if n < 1 or np.shape(self.phi) != (n + 1,) or np.shape(self.phibar) != (n + 1,):
+            raise ValueError(
+                f"tables for n={n} need n + 1 >= 2 entries each, "
+                f"got {np.size(self.phi)} (phi) and {np.size(self.phibar)} (phibar)"
+            )
 
 
 @dataclass(frozen=True)
@@ -183,12 +191,13 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] |
     scalar loop handles those instances.
     """
     n = inst.n
-    a, b, p = inst.a, inst.b, inst.p
-    w_top = inst.distribution().masses[0]
-    eps = p / n + 1.0 / (n * n)
+    a, b = inst.a, inst.b
+    law = inst.distribution()
+    w_top, w_mid, _ = law.masses
+    eps = w_mid + w_top
     if not (0.0 < eps < 1.0 and 0.0 < w_top < 1.0) or -n * math.log1p(-eps) > _MAX_LOG_DISCOUNT:
         return None
-    x0 = (1.0 + b * p) / n
+    x0 = law.mean
     top = w_top * n
     rem = np.arange(n + 1.0, 0.0, -1.0)
     w = np.empty(n)
@@ -227,13 +236,14 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] |
 def _backward_loop(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
     # The recursion step by step, for instances without a closed form.
     n = inst.n
-    a, b, p = inst.a, inst.b, inst.p
+    a, b = inst.a, inst.b
     nv = float(n)
-    w_top, w_mid, w_zero = inst.distribution().masses
+    law = inst.distribution()
+    w_top, w_mid, w_zero = law.masses
 
     phi = [0.0] * (n + 1)
     phibar = [0.0] * (n + 1)
-    pk = phi[n] = (1.0 + b * p) / nv
+    pk = phi[n] = law.mean
     pbk = phibar[n] = a
     top = w_top * nv
     # pk/pbk hold phi[k+1]/phibar[k+1]; E(V v x) is expanded into its three
@@ -252,12 +262,8 @@ def _backward_loop(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _require_matching_tables(inst: InstanceParams, tables: ThresholdTables) -> None:
     # Tables built for another size would be read as a different stopping rule.
-    n = inst.n
-    if tables.n != n or tables.phi.shape != (n + 1,) or tables.phibar.shape != (n + 1,):
-        raise ValueError(
-            f"tables do not match the instance: tables.n={tables.n} with "
-            f"{tables.phi.size}/{tables.phibar.size} entries, instance n={n} needs {n + 1}"
-        )
+    if tables.n != inst.n:
+        raise ValueError(f"tables do not match the instance: tables.n={tables.n}, n={inst.n}")
 
 
 def _first_crossing(table: np.ndarray, value: float) -> int:
@@ -315,31 +321,23 @@ def phi_closed_form(inst: InstanceParams, i: int) -> float:
     n = inst.n
     if not 1 <= i <= n:
         raise IndexError(f"index {i} out of range [1, {n}]")
-    x0 = (1.0 + inst.b * inst.p) / n
+    law = inst.distribution()
     if i == n:
-        return x0  # single-term sum, exact
-    return float(_geometric(x0, inst.p / n + 1.0 / (n * n), n - i + 1, np.expm1))
+        return law.mean  # single-term sum, exact
+    w_top, w_mid, _ = law.masses
+    return float(_geometric(law.mean, w_mid + w_top, n - i + 1, np.expm1))
 
 
-def gambler_prophet_ratio(inst: InstanceParams, tables: ThresholdTables | None = None) -> float:
+def gambler_prophet_ratio(inst: InstanceParams, tables: ThresholdTables) -> float:
     """Optimal-rule expectation divided by the offline maximum's expectation."""
-    if tables is None:
-        tables = compute_thresholds(inst)
     return optimal_value(inst, tables) / prophet_exact(inst)
 
 
 def _curve_rows(tables: ThresholdTables, stride: int) -> int:
-    # Number of curve rows, k = 1, 1+stride, ... plus always n; a bad stride or
-    # tables that do not hold n + 1 >= 2 entries each raise ValueError.
+    # Number of curve rows, k = 1, 1+stride, ... plus always n; a bad stride raises.
     if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
-    n = tables.n
-    if n < 1 or tables.phi.shape != (n + 1,) or tables.phibar.shape != (n + 1,):
-        raise ValueError(
-            f"tables for n={n} need n + 1 >= 2 entries each, "
-            f"got {tables.phi.size} (phi) and {tables.phibar.size} (phibar)"
-        )
-    return (n - 2) // stride + 2
+    return (tables.n - 2) // stride + 2
 
 
 def _curve_columns(
@@ -353,19 +351,6 @@ def _curve_columns(
     ks = np.arange(1 + start * step, 1 + stop * step, step)
     ks[-1] = min(ks.item(-1), n)
     return ks, tables.phi[ks], tables.phibar[ks]
-
-
-def emit_threshold_curves(
-    tables: ThresholdTables, stride: int
-) -> list[tuple[int, float, float]]:
-    """Rows ``(k, phi[k], phibar[k])`` for ``k = 1, 1+stride, ...`` plus always ``k = n``.
-
-    ``stride`` must be an integer of at least 1 (not a bool), and both
-    tables must hold ``n + 1 >= 2`` entries; anything else raises
-    ``ValueError``.
-    """
-    columns = _curve_columns(tables, stride, 0, _curve_rows(tables, stride))
-    return list(zip(*(c.tolist() for c in columns)))
 
 
 _CSV_ROW = "%d,%.15g,%.15g\n"
@@ -388,8 +373,7 @@ def write_threshold_csv(tables: ThresholdTables, stride: int, out: IO[str]) -> N
     even; a row holding any other value (below 1e-4, at least 1e14,
     printed as an integer or a power of ten, not positive or not finite)
     is formatted with ``%``.  Shorter curves are formatted in one ``%``
-    operation.  A bad ``stride`` or table size raises before anything is
-    written.
+    operation.  A bad ``stride`` raises before anything is written.
     """
     rows = _curve_rows(tables, stride)
     out.write("k,phi,phibar\n")

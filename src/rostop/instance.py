@@ -13,6 +13,9 @@ of the hardness bound are valid.  An additional size-dependent check
 (``pmf``) guarantees that the masses of ``V`` form a probability vector:
 ``p/n + 1/n^2 <= 1``.
 
+The finite-size law needs only ``ordering``, ``pmf`` and ``b < n``
+(:func:`require_law`); :func:`make_instance` also requires the other six.
+
 All checks are evaluated unconditionally (no short-circuit) so a report
 always shows every violated condition at once.
 """
@@ -33,6 +36,7 @@ __all__ = [
     "ParameterError",
     "InfeasibleInstanceError",
     "validate",
+    "require_law",
     "make_instance",
 ]
 
@@ -125,15 +129,13 @@ class ValueDistribution:
 class InstanceParams:
     """Parameter tuple of one instance: constant ``a``, value ``b``, mass scale ``p``, size ``n``.
 
-    ``validated`` records whether construction went through the feasibility
-    gate; diagnostic (unchecked) instances carry ``validated=False``.
+    :meth:`distribution` is the one source of the law of ``V``, masses and mean.
     """
 
     a: float
     b: float
     p: float
     n: int
-    validated: bool = True
 
     def distribution(self) -> ValueDistribution:
         n = self.n
@@ -228,24 +230,38 @@ def validate(a: float, b: float, p: float, n: int | None = None) -> ConditionRep
     )
 
 
+def require_law(inst: InstanceParams) -> None:
+    """Raise unless ``inst`` has a real law: ``ordering`` and ``pmf`` pass, and ``b < n``.
+
+    A failed row raises :class:`InfeasibleInstanceError` with the full
+    :func:`validate` report, and ``b >= n`` :class:`ParameterError`.
+    """
+    report = validate(inst.a, inst.b, inst.p, inst.n)
+    _require(report, report.check("ordering").passed and report.check("pmf").passed, inst)
+
+
+def _require(report: ConditionReport, rows_pass: bool, inst: InstanceParams) -> None:
+    if not rows_pass:
+        raise InfeasibleInstanceError(report)
+    if not inst.b < inst.n:
+        # the support triple is ordered n > b > 0: the size value must
+        # dominate, otherwise the law of the maximum degenerates
+        raise ParameterError(f"need b < n for an ordered support, got b={inst.b}, n={inst.n}")
+
+
 def make_instance(
     a: float, b: float, p: float, n: int, unchecked: bool = False
 ) -> tuple[InstanceParams, ValueDistribution]:
     """Construct an instance and its value distribution.
 
     Raises :class:`InfeasibleInstanceError` (carrying the report) when any
-    feasibility check fails.  ``unchecked=True`` skips the gate for
-    diagnostic use, e.g. running the recursions at sizes where the pmf
-    constraint cannot hold; the resulting masses are then formal weights.
+    feasibility check fails, and :class:`ParameterError` when ``b >= n``.
+    ``unchecked=True`` skips both for diagnostic use, e.g. running the
+    recursions at sizes where the pmf constraint cannot hold; the resulting
+    masses are then formal weights.
     """
-    n = _size(n)
+    inst = InstanceParams(a=float(a), b=float(b), p=float(p), n=_size(n))
     if not unchecked:
-        report = validate(a, b, p, n)
-        if not report.passed:
-            raise InfeasibleInstanceError(report)
-        if not b < n:
-            # the support triple is ordered n > b > 0: the size value must
-            # dominate, otherwise the law of the maximum degenerates
-            raise ParameterError(f"need b < n for an ordered support, got b={b}, n={n}")
-    inst = InstanceParams(a=float(a), b=float(b), p=float(p), n=n, validated=not unchecked)
+        report = validate(a, b, p, inst.n)
+        _require(report, report.passed, inst)
     return inst, inst.distribution()

@@ -24,7 +24,8 @@ value at least as large as the applicable future reward (``>=``, matching
 the collapsed tables).  Zero values are never accepted before the forced
 final step (future rewards are positive), so the walk advances by jumping
 between non-zero draws with geometric strides; the visited decisions are
-exactly those of the step-by-step walk.
+exactly those of the step-by-step walk.  Both simulators take any instance
+with a real law (:func:`~rostop.instance.require_law`), checked or not.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .asymptotics import ConsistencyError
 from .dp import ThresholdTables, _require_matching_tables, _sorted_crossing
-from .instance import InstanceParams
+from .instance import InstanceParams, require_law
 
 __all__ = [
     "MAX_ORACLE_SIZE",
@@ -186,6 +187,8 @@ def _run_batches(
     Each batch first draws the constant's slot ``pos_a`` (uniform on the
     ``n+1`` positions) for its trials, then hands its stream to ``draw``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     seed = int(seed)
     sums: list[float] = []
     sumsqs: list[float] = []
@@ -215,13 +218,6 @@ def _run_batches(
     )
 
 
-def _require_simulatable(inst: InstanceParams, trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not inst.validated:
-        raise ValueError("simulation needs a validated instance (real probabilities)")
-
-
 def simulate_policy(
     inst: InstanceParams, tables: ThresholdTables, trials: int, seed: int
 ) -> SimulationReport:
@@ -236,7 +232,7 @@ def simulate_policy(
     and nonincreasing in ``k`` (``+inf`` entries are allowed and model
     "never accept before the end").
     """
-    _require_simulatable(inst, trials)
+    require_law(inst)
     _require_matching_tables(inst, tables)
     n = inst.n
     for table in (tables.phi, tables.phibar):
@@ -321,7 +317,7 @@ def simulate_prophet(inst: InstanceParams, trials: int, seed: int) -> Simulation
     recorded step is the arrival slot of the first occurrence of the
     maximum.
     """
-    _require_simulatable(inst, trials)
+    require_law(inst)
     n = inst.n
     a, b = inst.a, inst.b
     nv = float(n)

@@ -29,11 +29,12 @@ def prophet_exact(inst: InstanceParams) -> float:
     taken from expm1 directly: forming it by subtraction would cancel down
     to ~n ulps absolute after the multiplication by n.
     """
-    n, a, b, p = inst.n, inst.a, inst.b, inst.p
+    n, a, b = inst.n, inst.a, inst.b
     if not a < b < n:
         raise ParameterError(f"law of the maximum needs a < b < n, got ({a}, {b}, {n})")
-    some_top = -math.expm1(n * math.log1p(-1.0 / (n * n)))  # P(max = n)
-    all_zero = math.exp(n * math.log1p(-(p / n + 1.0 / (n * n))))
+    w_top, w_mid, _ = inst.distribution().masses
+    some_top = -math.expm1(n * math.log1p(-w_top))  # P(max = n)
+    all_zero = math.exp(n * math.log1p(-(w_mid + w_top)))
     no_top = 1.0 - some_top
     return n * some_top + b * (no_top - all_zero) + a * all_zero
 

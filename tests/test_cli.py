@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import rostop.cli as cli_module
+from rostop import CertificationError, validate
 from rostop.cli import main
 
 ABP = ["--a", "0.789", "--b", "1.24", "--p", "0.421"]
@@ -237,6 +239,41 @@ def test_bound_bad_tolerances_exit_two(capsys, tols, message):
     assert main(["bound", *ABP, *tols]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+# Every validate row passes here, yet the bisection's q' consistency check
+# fails at p ~ 1e-4.
+UNBOUNDABLE = (0.601108, 1.00004720517, 0.000104734)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--a", "0.601108", "--b", "1.00004720517", "--p", "0.000104734"],
+        ["sweep", "--a", "0.6:0.61:0.01", "--b", "1.00004:1.00005:0.00001",
+         "--p", "0.0001:0.00011:0.00001"],
+    ],
+)
+def test_failed_numerical_check_exits_two_without_a_file(argv, tmp_path, capsys):
+    assert validate(*UNBOUNDABLE).passed
+    out = tmp_path / "sweep.csv"
+    extra = ["--out", str(out)] if argv[0] == "sweep" else []
+    assert main([*argv, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "q' disagree" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_failed_certificate_exits_two(monkeypatch, capsys):
+    def refuse(hb):
+        raise CertificationError("sup|q'| >= 1")
+
+    monkeypatch.setattr(cli_module, "certify", refuse)
+    assert main(["bound", *ABP]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: sup|q'| >= 1\n"
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from rostop import (
     ThresholdTables,
     acceptance_times,
     compute_thresholds,
-    emit_threshold_curves,
     gambler_prophet_ratio,
     make_instance,
     optimal_value,
@@ -185,33 +184,40 @@ def test_phi_closed_form_index_errors():
         phi_closed_form(inst, 11)
 
 
+def _csv_rows(tables, stride):
+    # The curves CSV's data rows as (k, phi text, phibar text).
+    lines = _csv(tables, stride).splitlines()
+    assert lines[0] == "k,phi,phibar"
+    return [(int(k), phi, phibar) for k, phi, phibar in (r.split(",") for r in lines[1:])]
+
+
 def test_curve_rows_full_dump():
     inst = _ref_instance(4)
     tables = compute_thresholds(inst)
-    rows = emit_threshold_curves(tables, 1)
+    rows = _csv_rows(tables, 1)
     assert [r[0] for r in rows] == [1, 2, 3, 4]
 
 
 def test_curve_rows_stride_includes_terminal(ref_dp):
     inst, tables, _ = ref_dp.get(10**6)
-    rows = emit_threshold_curves(tables, 1000)
+    rows = _csv_rows(tables, 1000)
     assert len(rows) == 1001
     k, phi_n, phibar_n = rows[-1]
     assert k == 10**6
-    assert phi_n == (1.0 + inst.b * inst.p) / 10**6
-    assert phibar_n == inst.a
+    assert phi_n == f"{(1.0 + inst.b * inst.p) / 10**6:.15g}"
+    assert phibar_n == f"{inst.a:.15g}"
 
 
 def test_curve_row_at_first_crossing(ref_dp):
     inst, tables, times = ref_dp.get(1000)
-    rows = dict((k, v) for k, v, _ in emit_threshold_curves(tables, 1))
+    rows = {k: float(v) for k, v, _ in _csv_rows(tables, 1)}
     assert rows[times.k_n] <= inst.b < rows[times.k_n - 1]
 
 
 def test_curve_stride_validation(ref_dp):
     _, tables, _ = ref_dp.get(1000)
     with pytest.raises(ValueError):
-        emit_threshold_curves(tables, 0)
+        write_threshold_csv(tables, 0, io.StringIO())
 
 
 @pytest.mark.parametrize("stride", [True, 2.0, 0])
@@ -219,8 +225,6 @@ def test_stride_must_be_a_positive_integer(ref_dp, stride):
     # True would read as 1 and 2.0 would fail inside range(); both are refused
     # like 0, and the CSV writer refuses before writing anything.
     _, tables, _ = ref_dp.get(1000)
-    with pytest.raises(ValueError, match="stride"):
-        emit_threshold_curves(tables, stride)
     buf = io.StringIO()
     with pytest.raises(ValueError, match="stride"):
         write_threshold_csv(tables, stride, buf)
@@ -229,7 +233,7 @@ def test_stride_must_be_a_positive_integer(ref_dp, stride):
 
 def test_numpy_integer_stride_accepted(ref_dp):
     _, tables, _ = ref_dp.get(1000)
-    assert emit_threshold_curves(tables, np.int64(7)) == emit_threshold_curves(tables, 7)
+    assert _csv(tables, np.int64(7)) == _csv(tables, 7)
 
 
 def test_threshold_csv_format():
@@ -324,14 +328,10 @@ def test_csv_writer_memory_bounded_by_the_block(monkeypatch):
 def test_curves_need_n_plus_one_entries(n, entries):
     # n = 10 with 6 entries gave 5 rows and no k = n row; n = 3 with 9
     # entries leaked numpy's slice-assignment error from the CSV writer.
+    # Such tables cannot be built, so no writer or reader ever sees them.
     values = np.linspace(2.0, 1.0, entries)
-    tables = ThresholdTables(n=n, phi=values, phibar=values)
     with pytest.raises(ValueError, match=f"n={n} need n \\+ 1 >= 2 entries each, got {entries}"):
-        emit_threshold_curves(tables, 1)
-    buf = io.StringIO()
-    with pytest.raises(ValueError, match=f"got {entries}"):
-        write_threshold_csv(tables, 1, buf)
-    assert buf.getvalue() == ""
+        ThresholdTables(n=n, phi=values, phibar=values)
 
 
 def test_sorted_crossing_equals_scan_on_nonincreasing_tables():
@@ -370,10 +370,13 @@ _TABLE_CONSUMERS = {
 def test_tables_for_another_size_rejected(consumer, mismatch):
     # n = 20 tables read against an n = 100 instance would silently define
     # another stopping rule; also when only the arrays are of the wrong size.
+    # Arrays of the wrong size are refused when the tables are built.
     inst = _ref_instance(100)
     small = compute_thresholds(_ref_instance(20))
     if mismatch == "short_arrays":
-        small = ThresholdTables(n=100, phi=small.phi, phibar=small.phibar)
+        with pytest.raises(ValueError, match="n=100 need n \\+ 1 >= 2 entries each, got 21"):
+            ThresholdTables(n=100, phi=small.phi, phibar=small.phibar)
+        return
     with pytest.raises(ValueError, match="tables do not match the instance"):
         _TABLE_CONSUMERS[consumer](inst, small)
 

@@ -13,7 +13,7 @@ from rostop import (
     make_instance,
     validate,
 )
-from rostop.instance import _MAX_N, CONDITION_NAMES
+from rostop.instance import _MAX_N, CONDITION_NAMES, require_law
 
 from conftest import REF_PARAMS
 
@@ -79,9 +79,27 @@ def test_pmf_violation_raises_with_report():
 
 def test_unchecked_construction_yields_signed_masses():
     inst, dist = make_instance(*REF_PARAMS, 1, unchecked=True)
-    assert inst.validated is False
+    with pytest.raises(InfeasibleInstanceError, match="pmf"):
+        require_law(inst)
     assert dist.masses[2] < 0.0
     assert dist.masses[0] == 1.0
+
+
+def test_law_gate_needs_ordering_pmf_and_b_below_n():
+    # The family's minimum fails only `log`, an asymptotic condition: its
+    # law is real, so the gate passes while make_instance refuses it.
+    point = (0.8203641079, 1.3304364620, 0.3716856858)
+    assert validate(*point, 1000).failed_names() == ("log",)
+    with pytest.raises(InfeasibleInstanceError):
+        make_instance(*point, 1000)
+    require_law(make_instance(*point, 1000, unchecked=True)[0])
+    with pytest.raises(InfeasibleInstanceError, match="ordering"):
+        require_law(make_instance(1.2, 1.24, 0.421, 1000, unchecked=True)[0])
+    with pytest.raises(ParameterError, match="b < n"):
+        require_law(make_instance(0.789, 2.5, 0.421, 2, unchecked=True)[0])
+    # make_instance reports failed rows before b >= n, as before
+    with pytest.raises(InfeasibleInstanceError):
+        make_instance(0.789, 2.5, 0.421, 2)
 
 
 def test_validate_is_pure():
@@ -162,7 +180,7 @@ def test_mass_vector_properties(a, b, p, n):
     ev = dist.support[0] * dist.masses[0] + dist.support[1] * dist.masses[1]
     assert abs(ev - dist.mean) <= 2 * math.ulp(dist.mean)
     assert dist.mean == (1.0 + b * p) / n
-    assert inst.validated
+    require_law(inst)
 
 
 # Reports pinned byte for byte.  The third input takes log of a negative

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from rostop import (
+    InfeasibleInstanceError,
     OracleSizeError,
+    ParameterError,
     ThresholdTables,
     compute_thresholds,
     exhaustive_optimal_value,
@@ -187,6 +189,33 @@ def test_simulation_input_validation():
     bad_tables = ThresholdTables(n=20, phi=bad, phibar=bad)
     with pytest.raises(ValueError):
         simulate_policy(inst, bad_tables, trials=10, seed=1)
+
+
+def test_simulators_take_a_real_law_that_fails_only_log():
+    # The family's minimum fails only `log`, an asymptotic condition; its
+    # masses form a pmf, so both simulators sample it.
+    inst, _ = make_instance(0.8203641079, 1.3304364620, 0.3716856858, 1000, unchecked=True)
+    tables = compute_thresholds(inst)
+    policy = simulate_policy(inst, tables, trials=200_000, seed=7)
+    assert abs(policy.mean - optimal_value(inst, tables)) <= 4.0 * policy.std_error
+    prophet = simulate_prophet(inst, trials=200_000, seed=7)
+    assert abs(prophet.mean - prophet_exact(inst)) <= 4.0 * prophet.std_error
+
+
+@pytest.mark.parametrize(
+    "params, error",
+    [
+        ((*REF_PARAMS, 1), InfeasibleInstanceError),  # negative zero mass
+        ((0.789, 2.5, 0.421, 2), ParameterError),  # b >= n
+    ],
+)
+def test_simulators_refuse_an_unreal_law(params, error):
+    inst, _ = make_instance(*params, unchecked=True)
+    tables = compute_thresholds(inst)
+    with pytest.raises(error):
+        simulate_policy(inst, tables, trials=10, seed=1)
+    with pytest.raises(error):
+        simulate_prophet(inst, trials=10, seed=1)
 
 
 def test_policy_rejects_non_monotone_tables():
