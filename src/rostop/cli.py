@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Subcommands: validate, dp, bound, simulate, sweep, figure.  Exit codes:
-0 success, 1 infeasible parameters or failed validation, 2 usage error
-(including tolerances the bisection cannot meet and sizes above
+Subcommands: validate, dp, bound, simulate, sweep, figure.  dp, simulate,
+figure and the sweep's ``--n`` cross-check need a real law (``make_instance``);
+validate, bound and sweep check all eight rows (sweep keeps failing points in
+its CSV).  Exit codes: 0 success, 1 a failed gate (a law row, or any row for
+validate/bound), 2 usage error (including ``b >= n``, seeds outside
+``[0, 2**64)``, tolerances the bisection cannot meet and sizes above
 ``dp.MAX_TABLE_N`` where tables are built) or a numerical check that fails at a
 feasible point (``ConsistencyError``, ``CertificationError``), reported on one ``error:`` line.
 Parameters may come from flags or from a flat key-value config file
@@ -140,8 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_positive_int, help="cross-check the best point at this size")
     sp.add_argument("--refine", type=int, default=0, metavar="ROUNDS")
     sp.add_argument("--shrink", type=float, default=2.0)
-    sp.add_argument("--workers", type=_positive_int, default=1,
-                    help="accepted for compatibility; results and speed do not depend on it")
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("figure", help="emit the future-reward curves as CSV")
@@ -248,7 +249,7 @@ def _cmd_sweep(args) -> int:
         a=args.a, b=args.b, p=args.p, n=args.n,
         refine_rounds=args.refine, shrink=args.shrink,
     )
-    records = run_sweep(spec, workers=args.workers)
+    records = run_sweep(spec)
     with open(args.out, "w", newline="\n") as fh:
         write_sweep_csv(records, fh)
     feasible = [r for r in records if r.feasible]
@@ -256,7 +257,7 @@ def _cmd_sweep(args) -> int:
     if feasible:
         best = feasible[0]
         if spec.refine_rounds:
-            best = refine(best, spec, workers=args.workers)
+            best = refine(best, spec)
         print(f"best: a={best.a:.12g} b={best.b:.12g} p={best.p:.12g} M={best.M:.12f}")
         if spec.n is not None:
             ratio = dp_cross_check(best, spec.n)

@@ -22,11 +22,11 @@ per table, each evaluated in closed form with numpy (a geometric sum for
 memory.  The pass holds four float arrays of about ``n`` entries, the two
 tables, the step counts ``n + 1 - k`` and one scratch array, and every
 operation writes into one of them in place.  Instances outside the closed
-form's domain (formal weights of unchecked instances, or a regime that
-switches back) run the recursion step by step instead.  The pass runs
-down to ``k = 0``: ``phibar[0]``, the future reward before the first
-arrival, is the optimal rule's expected reward.  Tables are built up to
-``n = MAX_TABLE_N``.
+form's domain (formal weights, a discount that overflows at large ``p``, or
+a regime that switches back) run the recursion step by step instead.  The
+pass runs down to ``k = 0``: ``phibar[0]``, the future reward before the
+first arrival, is the optimal rule's expected reward.  Tables are built up
+to ``n = MAX_TABLE_N``.
 
 The optimal rule accepts a probed value exactly when it is at least the
 applicable future reward; acceptance on equality is fixed (>=) so runs are
@@ -48,6 +48,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from typing import IO
 
@@ -241,8 +242,8 @@ def _backward_loop(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
     law = inst.distribution()
     w_top, w_mid, w_zero = law.masses
 
-    phi = [0.0] * (n + 1)
-    phibar = [0.0] * (n + 1)
+    phi = array("d", [0.0]) * (n + 1)
+    phibar = array("d", [0.0]) * (n + 1)
     pk = phi[n] = law.mean
     pbk = phibar[n] = a
     top = w_top * nv
@@ -257,7 +258,7 @@ def _backward_loop(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
         pk = nxt
         phi[k] = pk
         phibar[k] = pbk
-    return np.asarray(phi), np.asarray(phibar)
+    return np.frombuffer(phi), np.frombuffer(phibar)
 
 
 def _require_matching_tables(inst: InstanceParams, tables: ThresholdTables) -> None:

@@ -14,7 +14,8 @@ of the hardness bound are valid.  An additional size-dependent check
 ``p/n + 1/n^2 <= 1``.
 
 The finite-size law needs only ``ordering``, ``pmf`` and ``b < n``
-(:func:`require_law`); :func:`make_instance` also requires the other six.
+(:func:`require_law`), and :func:`make_instance` checks just that; the
+hardness bound and the sweep, which use the asymptotics, check all eight.
 
 All checks are evaluated unconditionally (no short-circuit) so a report
 always shows every violated condition at once.
@@ -115,8 +116,8 @@ class ConditionReport:
 class ValueDistribution:
     """Three-point law of ``V``: support ``(n, b, 0)`` with the given masses.
 
-    ``mean`` is stored as the closed form ``(1 + b*p)/n``.  For unchecked
-    diagnostic instances (see :func:`make_instance`) the last mass may be
+    ``mean`` is stored as the closed form ``(1 + b*p)/n``.  Where the law
+    is not real (e.g. ``InstanceParams`` at ``n = 1``) the last mass may be
     negative; the masses then act as formal signed weights.
     """
 
@@ -155,15 +156,20 @@ def _finite(x: float, name: str) -> float:
     return x
 
 
-def _size(n) -> int:
-    # Any integral type (numpy ints included) becomes a Python int, so that
-    # n * n cannot overflow; bools and floats are rejected.
-    if isinstance(n, bool):
-        raise ParameterError(f"n must be an integer, got {n!r}")
+def _integer(x, name: str) -> int:
+    # Any integral type (numpy ints included) becomes a Python int; bools,
+    # floats and strings are rejected instead of coerced.
+    if isinstance(x, bool):
+        raise ParameterError(f"{name} must be an integer, got {x!r}")
     try:
-        n = operator.index(n)
+        return operator.index(x)
     except TypeError:
-        raise ParameterError(f"n must be an integer, got {n!r}") from None
+        raise ParameterError(f"{name} must be an integer, got {x!r}") from None
+
+
+def _size(n) -> int:
+    # A Python int, so that n * n cannot overflow.
+    n = _integer(n, "n")
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
     if n > _MAX_N:
@@ -237,11 +243,8 @@ def require_law(inst: InstanceParams) -> None:
     :func:`validate` report, and ``b >= n`` :class:`ParameterError`.
     """
     report = validate(inst.a, inst.b, inst.p, inst.n)
-    _require(report, report.check("ordering").passed and report.check("pmf").passed, inst)
-
-
-def _require(report: ConditionReport, rows_pass: bool, inst: InstanceParams) -> None:
-    if not rows_pass:
+    ordering, *_, pmf = report.ok  # the first and last of CONDITION_NAMES
+    if not (ordering and pmf):
         raise InfeasibleInstanceError(report)
     if not inst.b < inst.n:
         # the support triple is ordered n > b > 0: the size value must
@@ -249,19 +252,13 @@ def _require(report: ConditionReport, rows_pass: bool, inst: InstanceParams) -> 
         raise ParameterError(f"need b < n for an ordered support, got b={inst.b}, n={inst.n}")
 
 
-def make_instance(
-    a: float, b: float, p: float, n: int, unchecked: bool = False
-) -> tuple[InstanceParams, ValueDistribution]:
-    """Construct an instance and its value distribution.
+def make_instance(a: float, b: float, p: float, n: int) -> tuple[InstanceParams, ValueDistribution]:
+    """Construct an instance with a real law, and its value distribution.
 
-    Raises :class:`InfeasibleInstanceError` (carrying the report) when any
-    feasibility check fails, and :class:`ParameterError` when ``b >= n``.
-    ``unchecked=True`` skips both for diagnostic use, e.g. running the
-    recursions at sizes where the pmf constraint cannot hold; the resulting
-    masses are then formal weights.
+    Checks the law only, with :func:`require_law`: a point that fails only
+    asymptotic rows such as ``log`` is accepted.  Formal weights (``n = 1``,
+    ``b >= n``) come from :class:`InstanceParams` directly.
     """
     inst = InstanceParams(a=float(a), b=float(b), p=float(p), n=_size(n))
-    if not unchecked:
-        report = validate(a, b, p, inst.n)
-        _require(report, report.passed, inst)
+    require_law(inst)
     return inst, inst.distribution()

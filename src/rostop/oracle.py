@@ -25,7 +25,7 @@ the collapsed tables).  Zero values are never accepted before the forced
 final step (future rewards are positive), so the walk advances by jumping
 between non-zero draws with geometric strides; the visited decisions are
 exactly those of the step-by-step walk.  Both simulators take any instance
-with a real law (:func:`~rostop.instance.require_law`), checked or not.
+with a real law (:func:`~rostop.instance.require_law`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .asymptotics import ConsistencyError
 from .dp import ThresholdTables, _require_matching_tables, _sorted_crossing
-from .instance import InstanceParams, require_law
+from .instance import InstanceParams, ParameterError, _integer, require_law
 
 __all__ = [
     "MAX_ORACLE_SIZE",
@@ -104,8 +104,8 @@ def _continuation_table(inst: InstanceParams) -> dict[tuple[float, ...], float]:
     """Map every history to its continuation value, by recursion over the history tree.
 
     Each history is reached once, through its prefix, while the values ``n``,
-    ``b``, ``0`` and ``a`` are distinct (on every checked instance); where two
-    coincide it is evaluated again, to the same value.
+    ``b``, ``0`` and ``a`` are distinct (on every real law); where two coincide
+    it is evaluated again, to the same value.
     """
     n = inst.n
     if n > MAX_ORACLE_SIZE:
@@ -170,12 +170,6 @@ def exhaustive_optimal_value(inst: InstanceParams) -> float:
     return table[()]
 
 
-def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    # Stream-splitting rule: batch i of run `seed` uses Philox key (seed, i).
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, batch_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _run_batches(
     n: int,
     trials: int,
@@ -186,17 +180,22 @@ def _run_batches(
 
     Each batch first draws the constant's slot ``pos_a`` (uniform on the
     ``n+1`` positions) for its trials, then hands its stream to ``draw``.
+    ``seed`` is one Philox key word, an integer in ``[0, 2**64)``.
     """
+    trials = _integer(trials, "trials")
+    seed = _integer(seed, "seed")
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    seed = int(seed)
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
     sums: list[float] = []
     sumsqs: list[float] = []
     hist = np.zeros(n + 2, dtype=np.int64)
     n_batches = (trials + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
     for batch in range(n_batches):
         m = min(TRIALS_PER_BATCH, trials - batch * TRIALS_PER_BATCH)
-        rng = _batch_rng(seed, batch)
+        # Stream-splitting rule: batch i of run `seed` uses Philox key (seed, i).
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, batch], np.uint64)))
         pos_a = rng.integers(1, n + 2, size=m, dtype=np.int64)
         reward, stop = draw(rng, pos_a)
         sums.append(float(reward.sum()))

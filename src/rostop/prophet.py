@@ -47,6 +47,6 @@ def prophet_limit(a: float, b: float, p: float) -> float:
 
 
 def _limit(a, b, p, exp):
-    """:func:`prophet_limit`'s formula, unchecked; ``exp`` as in ``asymptotics._q``."""
+    """:func:`prophet_limit`'s formula without its checks; ``exp`` as in ``asymptotics._q``."""
     e = exp(-p)
     return 1.0 + b * (1.0 - e) + a * e

@@ -145,8 +145,8 @@ def _sort_key(rec: SweepRecord):
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Evaluate the whole grid and rank it: feasible ascending in M, infeasible last.
 
-    ``workers`` is accepted and ignored: the grid is evaluated in-process,
-    and neither results nor speed depend on it.
+    ``workers`` is ignored; it stays only because ``perfbench/run.py``
+    calls ``run_sweep(spec, 2)`` and compares the output with the serial one.
     """
     points = _grid(spec)
     records = [
@@ -158,13 +158,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     return records
 
 
-def refine(best: SweepRecord, spec: SweepSpec, workers: int = 1) -> SweepRecord:
+def refine(best: SweepRecord, spec: SweepSpec) -> SweepRecord:
     """Shrink the grid around ``best`` and re-sweep, ``spec.refine_rounds`` times.
 
     The incumbent always stays in contention, so the returned M never
     exceeds the input M.  A round whose grid contains no feasible point
-    leaves the incumbent unchanged and emits a warning.  ``workers`` is
-    ignored, as in :func:`run_sweep`.
+    leaves the incumbent unchanged and emits a warning.
     """
     if not best.feasible:
         raise ValueError("refinement must start from a feasible record")

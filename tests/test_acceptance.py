@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from rostop import (
+    InstanceParams,
     compute_thresholds,
     exhaustive_optimal_value,
     gambler_prophet_ratio,
@@ -96,7 +97,7 @@ def test_criterion_05_oracle_equivalence():
     worst = 0.0
     points = (REF_PARAMS,) + PERTURBED
     for (a, b, p), n in itertools.product(points, range(1, 7)):
-        inst, _ = make_instance(a, b, p, n, unchecked=(n == 1))
+        inst = InstanceParams(a, b, p, n)  # formal weights at n = 1
         dp_value = optimal_value(inst, compute_thresholds(inst))
         worst = max(worst, abs(exhaustive_optimal_value(inst) - dp_value))
         # exact collapse of the history table onto (depth, constant-seen)

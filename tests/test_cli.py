@@ -93,9 +93,19 @@ def test_dp_requires_n(capsys):
 
 
 def test_infeasible_dp_exits_one(capsys):
-    assert main(["dp", "--a", "0.789", "--b", "1.24", "--p", "0.2", "--n", "100"]) == 1
+    # a > 1 fails `ordering`, a row of the law
+    assert main(["dp", "--a", "1.2", "--b", "1.24", "--p", "0.421", "--n", "100"]) == 1
     err = capsys.readouterr().err
-    assert "infeasible" in err and "log" in err
+    assert "infeasible" in err and "ordering: " in err and "log: " not in err
+
+
+def test_dp_runs_where_only_asymptotic_rows_fail(capsys):
+    # p = 0.2 fails `log`, which the bound needs and the finite-size law does not
+    argv = ["--a", "0.789", "--b", "1.24", "--p", "0.2"]
+    assert main(["dp", *argv, "--n", "100"]) == 0
+    assert "ratio = " in capsys.readouterr().out
+    assert main(["bound", *argv]) == 1
+    assert "log: " in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -185,6 +195,12 @@ def test_simulate_prophet_mode(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "simulation = prophet" in out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_seed_outside_the_key_range_exits_two(seed, capsys):
+    assert main(["simulate", *ABP, "--n", "50", "--trials", "10", "--seed", seed]) == 2
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -295,12 +311,12 @@ def test_table_size_over_cap_exits_two(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_rejects_non_positive_workers(capsys):
-    for workers in ("0", "-1"):
-        assert main(["sweep", "--a", "0.789:0.789:0.01", "--b", "1.24:1.24:0.01",
-                     "--p", "0.421:0.421:0.01", "--workers", workers,
-                     "--out", "/dev/null"]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+def test_sweep_has_no_workers_option(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--a", "0.789:0.789:0.01", "--b", "1.24:1.24:0.01",
+                 "--p", "0.421:0.421:0.01", "--workers", "2", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])
@@ -317,7 +333,7 @@ def test_sweep_with_refinement_and_cross_check(tmp_path, capsys):
     code = main(
         ["sweep", "--a", "0.779:0.799:0.01", "--b", "1.23:1.25:0.01",
          "--p", "0.411:0.431:0.01", "--refine", "1", "--shrink", "4",
-         "--n", "1000", "--workers", "2", "--out", str(out)]
+         "--n", "1000", "--out", str(out)]
     )
     assert code == 0
     text = capsys.readouterr().out

@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 
 import rostop.dp as dp_module
 from rostop import (
+    InfeasibleInstanceError,
+    InstanceParams,
     ParameterError,
     ThresholdTables,
     acceptance_times,
     compute_thresholds,
     gambler_prophet_ratio,
+    hardness_bound,
+    lambda_mu_star,
     make_instance,
     optimal_value,
     phi_closed_form,
@@ -132,7 +136,7 @@ def test_optimal_value_n2_value():
 def test_step_zero_holds_the_optimal_value(n):
     # The pass runs down to k = 0: phibar[0] is the value before the first
     # arrival; phi[0] has no meaning, since no arrival has been seen.
-    inst, _ = make_instance(*REF_PARAMS, n, unchecked=(n == 1))
+    inst = InstanceParams(*REF_PARAMS, n)  # formal weights at n = 1
     tables = compute_thresholds(inst)
     assert np.isnan(tables.phi[0])
     assert tables.phibar[0] == optimal_value(inst, tables)
@@ -430,13 +434,45 @@ def test_closed_form_matches_scalar_loop_at_small_n(point):
     ],
 )
 def test_scalar_loop_runs_without_closed_form(params):
-    inst, _ = make_instance(*params, unchecked=True)
+    inst = InstanceParams(*params)
     assert _closed_form_tables(inst) is None
     tables = compute_thresholds(inst)
     phi, phibar = _backward_loop(inst)
     assert np.array_equal(tables.phi[1:], phi[1:])
     assert np.array_equal(tables.phibar, phibar)
     assert np.isnan(tables.phi[0])
+
+
+def test_scalar_loop_holds_two_flat_tables():
+    # p = 700 makes (1 - eps)^-n overflow, so the step-by-step loop runs on a
+    # real law; it writes into two buffers of 8 bytes a step (a list of
+    # float objects took 80 bytes a step).
+    n = 2 * 10**4
+    inst, _ = make_instance(0.5, 1.001, 700.0, n)
+    assert _closed_form_tables(inst) is None
+    tracemalloc.start()
+    try:
+        compute_thresholds(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n, peak / n
+
+
+def test_family_minimum_through_make_instance():
+    # The family's minimum fails only `log`: the finite-size program takes it,
+    # and its ratio is below the paper's 0.7235, while the asymptotic bound,
+    # which needs every row, refuses it.
+    point = (0.8203641079, 1.3304364620, 0.3716856858)
+    ratios = []
+    for n in (10**3, 10**6):
+        inst, _ = make_instance(*point, n)
+        ratios.append(gambler_prophet_ratio(inst, compute_thresholds(inst)))
+    assert abs(ratios[0] - 0.7233161949415226) <= 1e-12
+    assert abs(ratios[1] - 0.7230243046) <= 1e-9
+    for fn in (hardness_bound, lambda_mu_star):
+        with pytest.raises(InfeasibleInstanceError, match=r"failed checks: log\)"):
+            fn(*point)
 
 
 @pytest.mark.parametrize("n", [10**5, 10**6])

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rostop import (
     ConditionCheck,
     ConditionReport,
     InfeasibleInstanceError,
+    InstanceParams,
     ParameterError,
     make_instance,
     validate,
@@ -77,29 +78,53 @@ def test_pmf_violation_raises_with_report():
     assert "pmf" in report.failed_names()
 
 
-def test_unchecked_construction_yields_signed_masses():
-    inst, dist = make_instance(*REF_PARAMS, 1, unchecked=True)
+def test_formal_weights_at_n_1_are_signed():
+    inst = InstanceParams(*REF_PARAMS, 1)
     with pytest.raises(InfeasibleInstanceError, match="pmf"):
         require_law(inst)
+    dist = inst.distribution()
     assert dist.masses[2] < 0.0
     assert dist.masses[0] == 1.0
 
 
 def test_law_gate_needs_ordering_pmf_and_b_below_n():
     # The family's minimum fails only `log`, an asymptotic condition: its
-    # law is real, so the gate passes while make_instance refuses it.
+    # law is real, so make_instance builds it.
     point = (0.8203641079, 1.3304364620, 0.3716856858)
     assert validate(*point, 1000).failed_names() == ("log",)
-    with pytest.raises(InfeasibleInstanceError):
-        make_instance(*point, 1000)
-    require_law(make_instance(*point, 1000, unchecked=True)[0])
+    require_law(make_instance(*point, 1000)[0])
     with pytest.raises(InfeasibleInstanceError, match="ordering"):
-        require_law(make_instance(1.2, 1.24, 0.421, 1000, unchecked=True)[0])
+        require_law(InstanceParams(1.2, 1.24, 0.421, 1000))
     with pytest.raises(ParameterError, match="b < n"):
-        require_law(make_instance(0.789, 2.5, 0.421, 2, unchecked=True)[0])
-    # make_instance reports failed rows before b >= n, as before
-    with pytest.raises(InfeasibleInstanceError):
+        require_law(InstanceParams(0.789, 2.5, 0.421, 2))
+    # condition II fails there too, but make_instance checks only the law
+    assert "II" in validate(0.789, 2.5, 0.421, 2).failed_names()
+    with pytest.raises(ParameterError, match="b < n"):
         make_instance(0.789, 2.5, 0.421, 2)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (InfeasibleInstanceError, ParameterError) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@example(a=1.2, b=1.24, p=0.421, n=1000)  # ordering
+@example(a=0.789, b=1.24, p=0.421, n=1)  # pmf
+@example(a=0.789, b=2.5, p=0.421, n=2)  # b >= n
+@example(a=0.8203641079, b=1.3304364620, p=0.3716856858, n=1000)  # only log
+@example(a=0.789, b=1.24, p=0.421, n=10**6)  # none
+@given(
+    a=st.floats(-0.5, 1.5),
+    b=st.floats(0.5, 4.0),
+    p=st.floats(-0.5, 3.0),
+    n=st.one_of(st.integers(1, 6), st.integers(7, 10**6)),
+)
+def test_make_instance_raises_exactly_when_the_law_gate_does(a, b, p, n):
+    assert _raised(make_instance, a, b, p, n) is _raised(require_law, InstanceParams(a, b, p, n))
 
 
 def test_validate_is_pure():
@@ -122,15 +147,14 @@ def test_bad_n_rejected():
     with pytest.raises(ParameterError):
         validate(*REF_PARAMS, 2.5)
     with pytest.raises(ParameterError):
-        make_instance(*REF_PARAMS, 0, unchecked=True)
+        make_instance(*REF_PARAMS, 0)
 
 
 def test_numpy_integer_n_accepted_as_python_int():
     assert validate(*REF_PARAMS, np.int64(1000)) == validate(*REF_PARAMS, 1000)
-    for unchecked in (False, True):
-        inst, dist = make_instance(*REF_PARAMS, np.int64(10**6), unchecked=unchecked)
-        assert type(inst.n) is int and inst.n == 10**6
-        assert dist.masses[0] == 1e-12
+    inst, dist = make_instance(*REF_PARAMS, np.int64(10**6))
+    assert type(inst.n) is int and inst.n == 10**6
+    assert dist.masses[0] == 1e-12
     inst, _ = make_instance(*REF_PARAMS, np.uint32(100))
     assert type(inst.n) is int
 
@@ -139,9 +163,8 @@ def test_numpy_integer_n_accepted_as_python_int():
 def test_non_integer_n_rejected(bad):
     with pytest.raises(ParameterError):
         validate(*REF_PARAMS, bad)
-    for unchecked in (False, True):
-        with pytest.raises(ParameterError):
-            make_instance(*REF_PARAMS, bad, unchecked=unchecked)
+    with pytest.raises(ParameterError):
+        make_instance(*REF_PARAMS, bad)
 
 
 def test_report_json_schema():
@@ -169,11 +192,7 @@ def test_pathological_parameters_do_not_crash():
     n=st.integers(3, 10**6),
 )
 def test_mass_vector_properties(a, b, p, n):
-    report = validate(a, b, p, n)
-    if not report.passed:
-        with pytest.raises(InfeasibleInstanceError):
-            make_instance(a, b, p, n)
-        return
+    # every such point has a real law, also where asymptotic rows fail
     inst, dist = make_instance(a, b, p, n)
     assert all(0.0 <= m <= 1.0 for m in dist.masses)
     assert abs(sum(dist.masses) - 1.0) <= math.ulp(1.0)
@@ -289,11 +308,11 @@ def test_overflowing_parameters_report_instead_of_raising():
 
 def test_size_whose_square_overflows_rejected():
     assert validate(*REF_PARAMS, _MAX_N).check("pmf").passed
-    make_instance(*REF_PARAMS, _MAX_N, unchecked=True)
+    make_instance(*REF_PARAMS, _MAX_N)
     with pytest.raises(OverflowError):
         float((_MAX_N + 1) ** 2)
     for n in (_MAX_N + 1, 10**200):
         with pytest.raises(ParameterError, match="at most 1.34078e"):
             validate(0.789, 1.24, 0.421, n)
         with pytest.raises(ParameterError, match="at most 1.34078e"):
-            make_instance(0.789, 1.24, 0.421, n, unchecked=True)
+            make_instance(0.789, 1.24, 0.421, n)

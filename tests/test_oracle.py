@@ -6,6 +6,7 @@ import pytest
 
 from rostop import (
     InfeasibleInstanceError,
+    InstanceParams,
     OracleSizeError,
     ParameterError,
     ThresholdTables,
@@ -26,7 +27,8 @@ def test_n1_six_case_hand_enumeration():
     # Two arrivals in random order: the constant and one draw of V. The draw
     # uses the formal signed weights (the mass vector cannot be a pmf at
     # n=1), and the recursion values are still well defined.
-    inst, dist = make_instance(*REF_PARAMS, 1, unchecked=True)
+    inst = InstanceParams(*REF_PARAMS, 1)
+    dist = inst.distribution()
     a = inst.a
     ev = sum(m * v for m, v in zip(dist.masses, dist.support))
     e_max_va = sum(m * max(v, a) for m, v in zip(dist.masses, dist.support))
@@ -37,7 +39,7 @@ def test_n1_six_case_hand_enumeration():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_exhaustive_matches_collapsed_dp(n):
-    inst, _ = make_instance(*REF_PARAMS, n, unchecked=(n == 1))
+    inst = InstanceParams(*REF_PARAMS, n)  # formal weights at n = 1
     dp_value = optimal_value(inst, compute_thresholds(inst))
     assert abs(exhaustive_optimal_value(inst) - dp_value) <= 1e-12
 
@@ -175,16 +177,43 @@ def test_degenerate_thresholds_collect_final_arrival():
     assert set(report.stop_histogram) == {n + 1}
 
 
+@pytest.mark.parametrize("seed", [1.7, True, np.bool_(True), "3", -1, 2**64, 2**64 + 1])
+def test_simulators_reject_a_seed_outside_the_key_range(seed):
+    # 1.7, True and "3" ran as 1, 1 and 3, and -1 and 2**64 + 1 drew the
+    # streams of 2**64 - 1 and 1 while reporting another seed.
+    inst, _ = make_instance(*REF_PARAMS, 20)
+    tables = compute_thresholds(inst)
+    with pytest.raises(ParameterError, match="seed must be"):
+        simulate_policy(inst, tables, trials=10, seed=seed)
+    with pytest.raises(ParameterError, match="seed must be"):
+        simulate_prophet(inst, trials=10, seed=seed)
+
+
+@pytest.mark.parametrize("trials", [True, 10.0, "10", 0, -3])
+def test_simulators_reject_non_integer_or_non_positive_trials(trials):
+    inst, _ = make_instance(*REF_PARAMS, 20)
+    tables = compute_thresholds(inst)
+    with pytest.raises(ParameterError, match="trials must be"):
+        simulate_policy(inst, tables, trials=trials, seed=1)
+    with pytest.raises(ParameterError, match="trials must be"):
+        simulate_prophet(inst, trials=trials, seed=1)
+
+
+def test_seed_range_ends_and_numpy_integers_accepted():
+    inst, _ = make_instance(*REF_PARAMS, 20)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        report = simulate_prophet(inst, trials=np.int64(10), seed=seed)
+        assert type(report.seed) is int and report.seed == int(seed)
+        assert type(report.trials) is int and report.trials == 10
+    assert report == simulate_prophet(inst, trials=10, seed=2**64 - 1)
+    assert report != simulate_prophet(inst, trials=10, seed=0)
+
+
 def test_simulation_input_validation():
     inst, _ = make_instance(*REF_PARAMS, 20)
     tables = compute_thresholds(inst)
     with pytest.raises(ValueError):
-        simulate_policy(inst, tables, trials=0, seed=1)
-    with pytest.raises(ValueError):
-        simulate_prophet(inst, trials=0, seed=1)
-    unchecked, _ = make_instance(*REF_PARAMS, 1, unchecked=True)
-    with pytest.raises(ValueError):
-        simulate_prophet(unchecked, trials=10, seed=1)
+        simulate_prophet(InstanceParams(*REF_PARAMS, 1), trials=10, seed=1)
     bad = np.zeros(21)
     bad_tables = ThresholdTables(n=20, phi=bad, phibar=bad)
     with pytest.raises(ValueError):
@@ -194,7 +223,7 @@ def test_simulation_input_validation():
 def test_simulators_take_a_real_law_that_fails_only_log():
     # The family's minimum fails only `log`, an asymptotic condition; its
     # masses form a pmf, so both simulators sample it.
-    inst, _ = make_instance(0.8203641079, 1.3304364620, 0.3716856858, 1000, unchecked=True)
+    inst, _ = make_instance(0.8203641079, 1.3304364620, 0.3716856858, 1000)
     tables = compute_thresholds(inst)
     policy = simulate_policy(inst, tables, trials=200_000, seed=7)
     assert abs(policy.mean - optimal_value(inst, tables)) <= 4.0 * policy.std_error
@@ -210,7 +239,7 @@ def test_simulators_take_a_real_law_that_fails_only_log():
     ],
 )
 def test_simulators_refuse_an_unreal_law(params, error):
-    inst, _ = make_instance(*params, unchecked=True)
+    inst = InstanceParams(*params)
     tables = compute_thresholds(inst)
     with pytest.raises(error):
         simulate_policy(inst, tables, trials=10, seed=1)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rostop import ParameterError, make_instance, prophet_exact, prophet_limit, validate
+from rostop import (
+    InstanceParams, ParameterError, make_instance, prophet_exact, prophet_limit, validate
+)
 
 from conftest import REF_PARAMS
 
@@ -68,7 +70,7 @@ def test_gap_to_limit_shrinks_with_n():
 def test_exact_requires_dominating_top_value():
     from rostop import ParameterError
 
-    inst, _ = make_instance(0.789, 2.5, 0.421, 2, unchecked=True)
+    inst = InstanceParams(0.789, 2.5, 0.421, 2)
     with pytest.raises(ParameterError):
         prophet_exact(inst)
 
