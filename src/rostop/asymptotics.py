@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dp import AcceptanceTimes, ThresholdTables, _require_matching_tables
+from .dp import AcceptanceTimes, ConsistencyError, ThresholdTables, _require_matching_tables
 from .instance import InstanceParams, InfeasibleInstanceError, ParameterError, validate
 
 __all__ = [
@@ -61,10 +61,6 @@ SIGN_TOLERANCE = 1e-9
 
 class OrderingError(ValueError):
     """Acceptance times violate k_n <= kbar_n <= j_n, so the case split is invalid."""
-
-
-class ConsistencyError(RuntimeError):
-    """Two internally equivalent evaluations disagree; signals a transcription bug."""
 
 
 @dataclass(frozen=True)
@@ -293,11 +289,16 @@ def _lower_bound_tail_sums(eps: float, max_length: int) -> np.ndarray:
     One path for every length: ``sum_j (L-j) q^j`` is the sum over
     ``r = 1..L`` of the partial geometric sums ``sum_{j<r} q^j``, so a nested
     cumulative sum of ``q^j = exp(j * log1p(-eps))`` gives every ``S(L)``
-    from positive terms only, with no cancellation at any ``L * eps``.
+    from positive terms only, with no cancellation at any ``L * eps``.  A
+    law without a zero atom (``eps = 1``) has ``q^j = 0`` for ``j > 0``, so
+    ``S(L) = L/(L+1)``.
     """
     s = np.arange(float(max_length))
-    s *= math.log1p(-eps)
-    np.exp(s, out=s)
+    if eps < 1.0:
+        s *= math.log1p(-eps)
+        np.exp(s, out=s)
+    else:
+        s = (s == 0.0).astype(float)
     np.cumsum(s, out=s)
     np.cumsum(s, out=s)  # s[L-1] = sum_{j<L} (L-j) q^j
     s /= np.arange(2.0, max_length + 2.0)

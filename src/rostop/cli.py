@@ -63,11 +63,8 @@ def _read_config(path: str) -> dict[str, float]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        for sep in ("=", ":"):
-            if sep in line:
-                key, _, val = line.partition(sep)
-                break
-        else:
+        key, sep, val = line.partition("=")
+        if not sep:
             raise ValueError(f"config line not key=value: {raw!r}")
         key, val = key.strip(), val.strip()
         if key not in ("a", "b", "p", "n"):

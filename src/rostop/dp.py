@@ -19,11 +19,12 @@ with coefficients fixed by whether that entry is below ``b``; each table
 crosses ``b`` once, so the pass splits into two constant-regime segments
 per table, each evaluated in closed form with numpy (a geometric sum for
 ``phi``, one discounted cumulative sum for ``phibar``) in O(n) time and
-memory.  The pass holds four float arrays of about ``n`` entries, the two
-tables, the step counts ``n + 1 - k`` and one scratch array, and every
-operation writes into one of them in place.  Instances outside the closed
-form's domain (formal weights, a discount that overflows at large ``p``, or
-a regime that switches back) run the recursion step by step instead.  The
+memory; a discounted sum runs in blocks short enough that its discount
+stays finite (one block below ``p`` of about 600).  The pass holds four
+float arrays of about ``n`` entries, the two tables, the step counts
+``n + 1 - k`` and one scratch array, and every operation writes into one
+of them in place.  It takes every real law
+(:func:`~rostop.instance.require_law`) and raises on other inputs.  The
 pass runs down to ``k = 0``: ``phibar[0]``, the future reward before the
 first arrival, is the optimal rule's expected reward.  Tables are built up
 to ``n = MAX_TABLE_N``.
@@ -48,17 +49,17 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-from array import array
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .instance import InstanceParams, ParameterError
+from .instance import InstanceParams, ParameterError, require_law
 from .prophet import prophet_exact
 
 __all__ = [
     "MAX_TABLE_N",
+    "ConsistencyError",
     "ThresholdTables",
     "AcceptanceTimes",
     "compute_thresholds",
@@ -72,9 +73,13 @@ __all__ = [
 # Largest size whose tables are built: two float64 arrays of n + 1 entries.
 MAX_TABLE_N = 10**8
 
-# The discounted sums weight step i by (1 - eps)^-i; above this log-weight
-# over n steps they could overflow, and the scalar loop runs instead.
+# The discounted sums weight step i of a block by (1 - rate)^-i; a block
+# ends before this log-weight, so the weighted sums stay finite.
 _MAX_LOG_DISCOUNT = 600.0
+
+
+class ConsistencyError(RuntimeError):
+    """Two internally equivalent evaluations disagree; signals a transcription bug."""
 
 
 @dataclass(frozen=True)
@@ -124,10 +129,12 @@ def compute_thresholds(inst: InstanceParams) -> ThresholdTables:
     """Run the backward pass and return both future-reward tables.
 
     Raises :class:`ParameterError` when ``n`` exceeds :data:`MAX_TABLE_N`,
-    before anything is allocated.
+    and what :func:`~rostop.instance.require_law` raises on a law that is
+    not real, before anything is allocated.
     """
     _require_table_size(inst.n)
-    phi, phibar = _closed_form_tables(inst) or _backward_loop(inst)
+    require_law(inst)
+    phi, phibar = _closed_form_tables(inst)
     phi[0] = math.nan
     phi.flags.writeable = False
     phibar.flags.writeable = False
@@ -144,8 +151,9 @@ def _require_table_size(n: int) -> None:
 def _geometric(x0, eps, terms, expm1):
     # x0 * sum_{i < terms} (1 - eps)^i for a number of terms, or elementwise
     # over a float array of terms, which is overwritten when ``expm1`` writes
-    # in place.  x0 * -e is computed as e * -x0, the same float.
-    terms *= np.log1p(-eps)
+    # in place.  x0 * -e is computed as e * -x0, the same float.  At eps = 1
+    # the log is -inf and every sum is x0.
+    terms *= np.log1p(-eps) if eps < 1.0 else -math.inf
     terms = expm1(terms)
     terms *= -x0
     terms /= eps
@@ -165,16 +173,29 @@ def _discounted_sums(
     # the recursion G_i = u_i + beta * G_{i-1} as one cumulative sum, run
     # backwards because entry j belongs to step i = steps[j], which descends
     # to 1.  ``out`` holds u on entry and G on return; ``w`` is scratch.  On
-    # feasible instances every term is positive, so the sum does not cancel.
-    np.multiply(steps, -math.log1p(-rate), out=w)
+    # a real law every term is positive, so the sum does not cancel.  Blocks
+    # of at most ``size`` steps keep beta^-l finite: each restarts from the
+    # last G before it and counts steps from its start, so every block's
+    # weights are the tail of the first block's.
+    if rate == 1.0:
+        return  # beta = 0: G_i = u_i
+    log_discount = -math.log1p(-rate)
+    size = int(_MAX_LOG_DISCOUNT / log_discount)  # at least 16, as rate <= 1 - 2^-53
+    w = w[-size:]
+    np.multiply(steps[-size:], log_discount, out=w)
     np.exp(w, out=w)
-    out *= w
-    np.cumsum(out[::-1], out=out[::-1])
-    out += g0
-    out /= w
+    g = g0
+    for stop in range(out.size, 0, -size):
+        block = out[max(0, stop - size):stop]
+        weights = w[w.size - block.size:]
+        block *= weights
+        np.cumsum(block[::-1], out=block[::-1])
+        block += g
+        block /= weights
+        g = block.item(0)
 
 
-def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] | None:
+def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
     """Both tables from the closed forms of their constant-regime segments.
 
     Written in step order ``k``, with ``rem = n + 1 - k``.  While ``phi[k+1]
@@ -185,19 +206,17 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] |
     affine in ``g``, ``g[k] = (a v phi[k+1]) + (n-k) * c + beta * g[k+1]``,
     with ``(c, beta)`` equal to ``(x0, 1 - eps)`` while ``phibar[k+1] < b``
     and ``(top, 1 - w_top)`` after, so each segment is one discounted
-    cumulative sum.  The regime switches are read off the computed values
-    with the loop's own comparison (``b > x`` is the low regime).  Returns
-    ``None`` where the rates are not in (0, 1), the discount over ``n``
-    steps would overflow, or a regime flag flips back after its switch: the
-    scalar loop handles those instances.
+    cumulative sum (in blocks, see :func:`_discounted_sums`).  The regime
+    switches are read off the computed values with the recursion's own
+    comparison (``b > x`` is the low regime).  Takes a real law, where both
+    rates lie in (0, 1]; raises :class:`ConsistencyError` if a regime flag
+    flips back after its switch, which the closed form cannot represent.
     """
     n = inst.n
     a, b = inst.a, inst.b
     law = inst.distribution()
     w_top, w_mid, _ = law.masses
     eps = w_mid + w_top
-    if not (0.0 < eps < 1.0 and 0.0 < w_top < 1.0) or -n * math.log1p(-eps) > _MAX_LOG_DISCOUNT:
-        return None
     x0 = law.mean
     top = w_top * n
     rem = np.arange(n + 1.0, 0.0, -1.0)
@@ -213,7 +232,7 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] |
     head *= x_star - n  # (n - x_star) * -expm1, the same float
     head += x_star
     if (b > phi[1:s1 + 1]).any():
-        return None
+        raise ConsistencyError(f"phi falls below b again after step {s1}: no closed form")
 
     phibar = np.empty(n + 1)  # g = rem * phibar until divided in place
     np.maximum(a, phi[1:], out=phibar[:n])
@@ -230,35 +249,8 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray] |
     _discounted_sums(g0, w_top, rem[n + 1 - s2:], w[:s2], head)
     head /= rem[:s2]
     if (b > phibar[1:s2 + 1]).any():
-        return None
+        raise ConsistencyError(f"phibar falls below b again after step {s2}: no closed form")
     return phi, phibar
-
-
-def _backward_loop(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
-    # The recursion step by step, for instances without a closed form.
-    n = inst.n
-    a, b = inst.a, inst.b
-    nv = float(n)
-    law = inst.distribution()
-    w_top, w_mid, w_zero = law.masses
-
-    phi = array("d", [0.0]) * (n + 1)
-    phibar = array("d", [0.0]) * (n + 1)
-    pk = phi[n] = law.mean
-    pbk = phibar[n] = a
-    top = w_top * nv
-    # pk/pbk hold phi[k+1]/phibar[k+1]; E(V v x) is expanded into its three
-    # weighted terms with the dominant-mass term w_zero*x added last.
-    for k in range(n - 1, -1, -1):
-        rem = nv + 1.0 - k
-        nxt = (top + w_mid * (b if b > pk else pk)) + w_zero * pk
-        pbk = (a if a > pk else pk) / rem + (1.0 - 1.0 / rem) * (
-            (top + w_mid * (b if b > pbk else pbk)) + w_zero * pbk
-        )
-        pk = nxt
-        phi[k] = pk
-        phibar[k] = pbk
-    return np.frombuffer(phi), np.frombuffer(phibar)
 
 
 def _require_matching_tables(inst: InstanceParams, tables: ThresholdTables) -> None:

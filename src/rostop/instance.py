@@ -14,8 +14,10 @@ of the hardness bound are valid.  An additional size-dependent check
 ``p/n + 1/n^2 <= 1``.
 
 The finite-size law needs only ``ordering``, ``pmf`` and ``b < n``
-(:func:`require_law`), and :func:`make_instance` checks just that; the
-hardness bound and the sweep, which use the asymptotics, check all eight.
+(:func:`require_law`), and :func:`make_instance`, the backward pass, the
+prophet and the simulators check just that; the hardness bound and the
+sweep, which use the asymptotics, check all eight.  Only the exhaustive
+oracle takes an :class:`InstanceParams` whose law is not real.
 
 All checks are evaluated unconditionally (no short-circuit) so a report
 always shows every violated condition at once.
@@ -118,7 +120,8 @@ class ValueDistribution:
 
     ``mean`` is stored as the closed form ``(1 + b*p)/n``.  Where the law
     is not real (e.g. ``InstanceParams`` at ``n = 1``) the last mass may be
-    negative; the masses then act as formal signed weights.
+    negative; the masses then act as formal signed weights, which only the
+    exhaustive oracle takes.
     """
 
     support: tuple[float, float, float]
@@ -196,7 +199,7 @@ def validate(a: float, b: float, p: float, n: int | None = None) -> ConditionRep
     if n is not None:
         n = _size(n)
 
-    ordering_margin = min(a, 1.0 - a, b - 1.0, p)
+    ordering_margin, pmf_lhs = _law_lhs(a, b, p, n)
     pb = p * b
     # the guards return NaN exactly where log1p / log raise a domain error
     log_lhs = math.log1p(pb) if pb > -1.0 else math.nan
@@ -215,11 +218,6 @@ def validate(a: float, b: float, p: float, n: int | None = None) -> ConditionRep
     denom_v = u * log_lhs
     lhs_v = pb * v / denom_v if denom_v and not math.isnan(denom_v) else math.nan
 
-    if n is None:
-        pmf_lhs = 0.0
-    else:
-        pmf_lhs = p / n + 1.0 / (n * n)
-
     return ConditionReport(
         lhs=(ordering_margin, log_lhs, lhs_i, lhs_ii, lhs_iii, lhs_iv, lhs_v, pmf_lhs),
         rhs=(0.0, p, rhs_i, 1.0, rhs_iii, 0.0, 1.0, 1.0),
@@ -236,20 +234,26 @@ def validate(a: float, b: float, p: float, n: int | None = None) -> ConditionRep
     )
 
 
+def _law_lhs(a: float, b: float, p: float, n: int | None) -> tuple[float, float]:
+    # The ``ordering`` and ``pmf`` lhs of checked inputs; pmf's n=None limit is 0.
+    return min(a, 1.0 - a, b - 1.0, p), (0.0 if n is None else p / n + 1.0 / (n * n))
+
+
 def require_law(inst: InstanceParams) -> None:
     """Raise unless ``inst`` has a real law: ``ordering`` and ``pmf`` pass, and ``b < n``.
 
     A failed row raises :class:`InfeasibleInstanceError` with the full
-    :func:`validate` report, and ``b >= n`` :class:`ParameterError`.
+    :func:`validate` report, which is built only then, and ``b >= n``
+    :class:`ParameterError`.
     """
-    report = validate(inst.a, inst.b, inst.p, inst.n)
-    ordering, *_, pmf = report.ok  # the first and last of CONDITION_NAMES
-    if not (ordering and pmf):
-        raise InfeasibleInstanceError(report)
-    if not inst.b < inst.n:
+    a, b, p, n = _finite(inst.a, "a"), _finite(inst.b, "b"), _finite(inst.p, "p"), _size(inst.n)
+    ordering, pmf = _law_lhs(a, b, p, n)
+    if not (ordering > 0.0 and pmf <= 1.0):
+        raise InfeasibleInstanceError(validate(a, b, p, n))
+    if not b < n:
         # the support triple is ordered n > b > 0: the size value must
         # dominate, otherwise the law of the maximum degenerates
-        raise ParameterError(f"need b < n for an ordered support, got b={inst.b}, n={inst.n}")
+        raise ParameterError(f"need b < n for an ordered support, got b={b}, n={n}")
 
 
 def make_instance(a: float, b: float, p: float, n: int) -> tuple[InstanceParams, ValueDistribution]:
@@ -257,7 +261,8 @@ def make_instance(a: float, b: float, p: float, n: int) -> tuple[InstanceParams,
 
     Checks the law only, with :func:`require_law`: a point that fails only
     asymptotic rows such as ``log`` is accepted.  Formal weights (``n = 1``,
-    ``b >= n``) come from :class:`InstanceParams` directly.
+    ``b >= n``) come from :class:`InstanceParams` directly, for the
+    exhaustive oracle.
     """
     inst = InstanceParams(a=float(a), b=float(b), p=float(p), n=_size(n))
     require_law(inst)

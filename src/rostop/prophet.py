@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .instance import InstanceParams, ParameterError
+from .instance import InstanceParams, ParameterError, require_law
 
 __all__ = ["prophet_exact", "prophet_limit"]
 
@@ -23,18 +23,20 @@ def prophet_exact(inst: InstanceParams) -> float:
     """E[max of the instance] at finite size ``n``.
 
     Three-case law of the maximum (value ``n``, else ``b``, else ``a``),
-    valid because the support is ordered ``a < b < n``.  The powers go
+    valid because a real law (:func:`~rostop.instance.require_law`, which
+    raises otherwise) has its support ordered ``a < b < n``.  The powers go
     through exp(n*log1p(-x)) (the direct power of the rounded base loses
     ~n ulps at n = 10^6), and the top-value probability 1-(1-1/n^2)^n is
     taken from expm1 directly: forming it by subtraction would cancel down
-    to ~n ulps absolute after the multiplication by n.
+    to ~n ulps absolute after the multiplication by n.  A law without a
+    zero atom never leaves every draw at zero.
     """
+    require_law(inst)
     n, a, b = inst.n, inst.a, inst.b
-    if not a < b < n:
-        raise ParameterError(f"law of the maximum needs a < b < n, got ({a}, {b}, {n})")
     w_top, w_mid, _ = inst.distribution().masses
+    eps = w_mid + w_top
     some_top = -math.expm1(n * math.log1p(-w_top))  # P(max = n)
-    all_zero = math.exp(n * math.log1p(-(w_mid + w_top)))
+    all_zero = math.exp(n * math.log1p(-eps)) if eps < 1.0 else 0.0
     no_top = 1.0 - some_top
     return n * some_top + b * (no_top - all_zero) + a * all_zero
 

@@ -9,8 +9,10 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from rostop import (
+    InfeasibleInstanceError,
     InstanceParams,
     compute_thresholds,
     exhaustive_optimal_value,
@@ -33,6 +35,7 @@ from rostop import (
 from rostop.sweep import SweepSpec
 
 from conftest import REF_PARAMS, PERTURBED
+from test_dp import _backward_loop
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -97,8 +100,13 @@ def test_criterion_05_oracle_equivalence():
     worst = 0.0
     points = (REF_PARAMS,) + PERTURBED
     for (a, b, p), n in itertools.product(points, range(1, 7)):
-        inst = InstanceParams(a, b, p, n)  # formal weights at n = 1
-        dp_value = optimal_value(inst, compute_thresholds(inst))
+        inst = InstanceParams(a, b, p, n)
+        if n == 1:  # formal weights: the pass refuses them, the reference loop takes them
+            with pytest.raises(InfeasibleInstanceError, match="pmf"):
+                compute_thresholds(inst)
+            dp_value = _backward_loop(inst)[1][0]
+        else:
+            dp_value = optimal_value(inst, compute_thresholds(inst))
         worst = max(worst, abs(exhaustive_optimal_value(inst) - dp_value))
         # exact collapse of the history table onto (depth, constant-seen)
         classes = {}

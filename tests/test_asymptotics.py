@@ -281,6 +281,12 @@ def test_tail_sums_match_naive():
         assert value == pytest.approx(naive, rel=1e-11)
 
 
+def test_tail_sums_without_a_zero_atom():
+    # eps = 1: (1 - eps)^j is 1 at j = 0 and 0 after, so S(L) = L/(L+1)
+    lengths = np.arange(1.0, 9.0)
+    assert np.array_equal(_lower_bound_tail_sums(1.0, 8), lengths / (lengths + 1.0))
+
+
 def test_sandwich_passes_at_n_1e4(ref_dp):
     inst, tables, times = ref_dp.get(10**4)
     report = verify_bound_sandwich(inst, tables, times)

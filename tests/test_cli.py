@@ -99,6 +99,12 @@ def test_infeasible_dp_exits_one(capsys):
     assert "infeasible" in err and "ordering: " in err and "log: " not in err
 
 
+def test_dp_runs_on_a_law_without_a_zero_atom(capsys):
+    # p/n + 1/n^2 = 1 exactly: every draw of V is b or n
+    assert main(["dp", "--a", "0.5", "--b", "1.2", "--p", "1.5", "--n", "2"]) == 0
+    assert "optimal_value = 1.550000000000\n" in capsys.readouterr().out
+
+
 def test_dp_runs_where_only_asymptotic_rows_fail(capsys):
     # p = 0.2 fails `log`, which the bound needs and the finite-size law does not
     argv = ["--a", "0.789", "--b", "1.24", "--p", "0.2"]
@@ -133,10 +139,12 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_config_rejects_line_without_separator(tmp_path, capsys):
+    # `=` is the only separator: a `key: value` line is refused too.
     cfg = tmp_path / "params.cfg"
-    cfg.write_text("a = 0.789\nb 1.24\np = 0.421\n")
-    assert main(["validate", "--config", str(cfg)]) == 2
-    assert "config line not key=value: 'b 1.24'" in capsys.readouterr().err
+    for line in ("b 1.24", "b: 1.24"):
+        cfg.write_text(f"a = 0.789\n{line}\np = 0.421\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert f"config line not key=value: {line!r}" in capsys.readouterr().err
 
 
 def test_dp_thresholds_out_matches_figure(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import io
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from rostop import (
     ThresholdTables,
     acceptance_times,
     compute_thresholds,
+    exhaustive_optimal_value,
     gambler_prophet_ratio,
     hardness_bound,
     lambda_mu_star,
@@ -26,7 +29,7 @@ from rostop import (
     verify_bound_sandwich,
     write_threshold_csv,
 )
-from rostop.dp import _backward_loop, _closed_form_tables
+from rostop.instance import require_law
 
 from conftest import PERTURBED, REF_PARAMS
 from test_bit_identity import _csv, _reference_csv
@@ -34,6 +37,36 @@ from test_bit_identity import _csv, _reference_csv
 
 def _ref_instance(n):
     return make_instance(*REF_PARAMS, n)[0]
+
+
+def _backward_loop(inst):
+    """The recursion step by step in float64: the reference for the closed form.
+
+    Unlike ``compute_thresholds`` it takes any ``InstanceParams``, formal
+    weights included (at ``n = 1`` the zero mass is negative).
+    """
+    n = inst.n
+    a, b = inst.a, inst.b
+    nv = float(n)
+    law = inst.distribution()
+    w_top, w_mid, w_zero = law.masses
+    phi = np.empty(n + 1)
+    phibar = np.empty(n + 1)
+    pk = phi[n] = law.mean
+    pbk = phibar[n] = a
+    top = w_top * nv
+    # pk/pbk hold phi[k+1]/phibar[k+1]; E(V v x) is expanded into its three
+    # weighted terms with the dominant-mass term w_zero*x added last.
+    for k in range(n - 1, -1, -1):
+        rem = nv + 1.0 - k
+        nxt = (top + w_mid * (b if b > pk else pk)) + w_zero * pk
+        pbk = (a if a > pk else pk) / rem + (1.0 - 1.0 / rem) * (
+            (top + w_mid * (b if b > pbk else pbk)) + w_zero * pbk
+        )
+        pk = nxt
+        phi[k] = pk
+        phibar[k] = pbk
+    return phi, phibar
 
 
 def test_hand_unrolled_recursion_n2():
@@ -135,8 +168,15 @@ def test_optimal_value_n2_value():
 @pytest.mark.parametrize("n", [1, 2, 1000])
 def test_step_zero_holds_the_optimal_value(n):
     # The pass runs down to k = 0: phibar[0] is the value before the first
-    # arrival; phi[0] has no meaning, since no arrival has been seen.
-    inst = InstanceParams(*REF_PARAMS, n)  # formal weights at n = 1
+    # arrival; phi[0] has no meaning, since no arrival has been seen.  At
+    # n = 1 the weights are formal: the pass refuses them, and the reference
+    # loop's step 0 is the exhaustive oracle's value.
+    inst = InstanceParams(*REF_PARAMS, n)
+    if n == 1:
+        with pytest.raises(InfeasibleInstanceError, match="pmf"):
+            compute_thresholds(inst)
+        assert abs(_backward_loop(inst)[1][0] - exhaustive_optimal_value(inst)) <= 1e-12
+        return
     tables = compute_thresholds(inst)
     assert np.isnan(tables.phi[0])
     assert tables.phibar[0] == optimal_value(inst, tables)
@@ -409,54 +449,108 @@ def test_monotonicity_property_small_instances(a, b, p, n):
     assert np.all(tables.phibar[1:] <= n)
 
 
-@pytest.mark.parametrize("point", [REF_PARAMS, *PERTURBED])
-def test_closed_form_matches_scalar_loop_at_small_n(point):
-    # The step-by-step loop is the reference for the closed-form segments;
-    # at these sizes both are within a few ulps of the exact recursion.
-    for n in range(2, 65):
-        inst, _ = make_instance(*point, n)
-        closed, loop = _closed_form_tables(inst), _backward_loop(inst)
-        assert closed is not None
-        np.testing.assert_allclose(closed[0][1:], loop[0][1:], rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(closed[1], loop[1], rtol=1e-13, atol=0.0)
+def _discount_log(inst):
+    # n * -log(1 - eps): the log of the discount that one block over all n
+    # steps would need; above dp._MAX_LOG_DISCOUNT the pass runs in blocks.
+    w_top, w_mid, _ = inst.distribution().masses
+    return inst.n * -math.log1p(-(w_mid + w_top))
+
+
+# Real laws at n <= 64 whose discounted sums take two or more blocks: the
+# zero atom's mass is below e^-600/n.
+_MULTI_BLOCK = [(0.5, 1.2, 63.98, 64), (0.789, 1.24, 63.984, 64), (0.9, 1.05, 47.9791, 48)]
+
+
+_SMALL_N = [
+    *((point, range(2, 65)) for point in (REF_PARAMS, *PERTURBED)),
+    *((params[:3], [params[3]]) for params in _MULTI_BLOCK),
+]
 
 
 @pytest.mark.parametrize(
-    "params",
+    "point, sizes", _SMALL_N, ids=[f"point{i}" for i in range(len(_SMALL_N))]
+)
+def test_closed_form_matches_scalar_loop_at_small_n(point, sizes):
+    # The step-by-step loop is the reference for the closed-form segments;
+    # at these sizes both are within a few ulps of the exact recursion.
+    for n in sizes:
+        inst, _ = make_instance(*point, n)
+        tables, loop = compute_thresholds(inst), _backward_loop(inst)
+        np.testing.assert_allclose(tables.phi[1:], loop[0][1:], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(tables.phibar, loop[1], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("rate, size", [(0.35, 4000), (1.0 - 1e-15, 200), (1.0, 50)])
+def test_discounted_sums_in_blocks_follow_the_recursion(rate, size):
+    # G_i = u_i + (1 - rate) * G_{i-1} from G_0 = g0, with entry j at step
+    # size - j.  The first two rates take 3 and 12 blocks (of 1392 and 17
+    # steps); on the tables, the blocks after the first are overwritten by
+    # the high regime at every law tried, so they are checked here.
+    rng = np.random.default_rng(22)
+    u = rng.uniform(0.5, 2.0, size)
+    out = u.copy()
+    steps = np.arange(float(size), 0.0, -1.0)
+    dp_module._discounted_sums(0.7, rate, steps, np.empty(size), out)
+    g, expected = 0.7, np.empty(size)
+    for j in range(size - 1, -1, -1):
+        g = u[j] + (1.0 - rate) * g
+        expected[j] = g
+    np.testing.assert_allclose(out, expected, rtol=1e-13, atol=0.0)
+
+
+def test_multi_block_points_need_more_than_one_block():
+    for params in _MULTI_BLOCK:
+        assert _discount_log(InstanceParams(*params)) > dp_module._MAX_LOG_DISCOUNT, params
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_laws_without_a_zero_atom_match_the_oracle(n):
+    # p = n - 1/n leaves no zero atom: its float mass is 0 at n = 2, 4, 8 and
+    # about 1e-17 at the other sizes.  The pass, the prophet and the sandwich
+    # take such laws without a warning.
+    inst, dist = make_instance(0.5, 1.2, n - 1.0 / n, n)
+    assert (dist.masses[2] == 0.0) == (n in (2, 4, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = compute_thresholds(inst)
+        times = acceptance_times(tables, inst)
+        verify_bound_sandwich(inst, tables, times)
+        assert 0.0 < gambler_prophet_ratio(inst, tables) <= 1.0
+    assert abs(optimal_value(inst, tables) - exhaustive_optimal_value(inst)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "params, error",
     [
-        # n = 1: w_top = 1 and eps = 1 + p, no geometric rate in (0, 1)
-        (*REF_PARAMS, 1),
-        # phibar starts at a above b, then falls below b: its flag switches back
-        (5.69, 5.43, 1.53, 3),
-        # (1 - eps)^-n = 10^1000 would overflow the discounted sums, and with
-        # b > n phibar stays in that segment: its entries would read inf
-        (0.789, 2000.0, 900.0, 1000),
+        ((*REF_PARAMS, 1), InfeasibleInstanceError),  # n = 1: negative zero mass
+        ((0.789, 2.5, 0.421, 2), ParameterError),  # b >= n
+        ((0.5, 1.2, 1.9, 2), InfeasibleInstanceError),  # pmf > 1
+        ((0.789, 1.24, -0.3, 5), InfeasibleInstanceError),  # p < 0
+        ((5.69, 5.43, 1.53, 3), InfeasibleInstanceError),  # a > b > 1
     ],
 )
-def test_scalar_loop_runs_without_closed_form(params):
+def test_unreal_laws_raise_the_law_gate_error(params, error):
     inst = InstanceParams(*params)
-    assert _closed_form_tables(inst) is None
-    tables = compute_thresholds(inst)
-    phi, phibar = _backward_loop(inst)
-    assert np.array_equal(tables.phi[1:], phi[1:])
-    assert np.array_equal(tables.phibar, phibar)
-    assert np.isnan(tables.phi[0])
+    for fn in (require_law, compute_thresholds, prophet_exact):
+        with pytest.raises(error):
+            fn(inst)
 
 
-def test_scalar_loop_holds_two_flat_tables():
-    # p = 700 makes (1 - eps)^-n overflow, so the step-by-step loop runs on a
-    # real law; it writes into two buffers of 8 bytes a step (a list of
-    # float objects took 80 bytes a step).
+def test_large_p_law_builds_in_bounded_memory():
+    # p = 700 would need the discount (1 - eps)^-n = e^713 over all n steps,
+    # so the pass runs in blocks; it still holds only its four arrays of 8
+    # bytes a step.
     n = 2 * 10**4
     inst, _ = make_instance(0.5, 1.001, 700.0, n)
-    assert _closed_form_tables(inst) is None
+    assert _discount_log(inst) > dp_module._MAX_LOG_DISCOUNT
     tracemalloc.start()
     try:
-        compute_thresholds(inst)
+        tables = compute_thresholds(inst)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * n, peak / n
+    assert peak <= 40 * n, peak / n
+    assert np.all(np.isfinite(tables.phibar))
 
 
 def test_family_minimum_through_make_instance():

@@ -85,6 +85,23 @@ def test_tables_match_30_digit_recursion_at_n_2000(point):
     np.testing.assert_allclose(tables.phibar, phibar_ref, rtol=1e-14, atol=0.0)
 
 
+def test_blocked_pass_matches_40_digit_recursion():
+    # At p = 700 one block over all n = 2000 steps would need the discount
+    # e^862, past dp._MAX_LOG_DISCOUNT, so the pass takes two blocks, each
+    # restarting from the other's last value.  A float64 step-by-step loop
+    # drifts by about 9e-14 here.
+    mp.dps = 40
+    n = 2000
+    point = (0.5, 1.001, 700.0)
+    inst, _ = make_instance(*point, n)
+    tables = compute_thresholds(inst)
+    phi_hp, phibar_hp = _mp_tables(n, [mpf(x) for x in point])
+    phi_ref = np.array([float(x) for x in phi_hp[1:]])
+    phibar_ref = np.array([float(x) for x in phibar_hp])
+    np.testing.assert_allclose(tables.phi[1:], phi_ref, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(tables.phibar, phibar_ref, rtol=1e-13, atol=0.0)
+
+
 def test_closed_form_drift_at_large_n():
     mp.dps = 50
     n = 10**5

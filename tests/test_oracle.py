@@ -21,12 +21,14 @@ from rostop import (
 )
 
 from conftest import REF_PARAMS, PERTURBED
+from test_dp import _backward_loop
 
 
 def test_n1_six_case_hand_enumeration():
     # Two arrivals in random order: the constant and one draw of V. The draw
     # uses the formal signed weights (the mass vector cannot be a pmf at
-    # n=1), and the recursion values are still well defined.
+    # n=1), and the recursion values are still well defined.  The pass
+    # refuses such weights; the reference loop takes them.
     inst = InstanceParams(*REF_PARAMS, 1)
     dist = inst.distribution()
     a = inst.a
@@ -34,13 +36,20 @@ def test_n1_six_case_hand_enumeration():
     e_max_va = sum(m * max(v, a) for m, v in zip(dist.masses, dist.support))
     hand = 0.5 * max(a, ev) + 0.5 * e_max_va
     assert exhaustive_optimal_value(inst) == pytest.approx(hand, abs=1e-14)
-    assert optimal_value(inst, compute_thresholds(inst)) == pytest.approx(hand, abs=1e-14)
+    assert _backward_loop(inst)[1][0] == pytest.approx(hand, abs=1e-14)
+    with pytest.raises(InfeasibleInstanceError, match="pmf"):
+        compute_thresholds(inst)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_exhaustive_matches_collapsed_dp(n):
-    inst = InstanceParams(*REF_PARAMS, n)  # formal weights at n = 1
-    dp_value = optimal_value(inst, compute_thresholds(inst))
+    inst = InstanceParams(*REF_PARAMS, n)
+    if n == 1:  # formal weights: the pass refuses them, the reference loop takes them
+        with pytest.raises(InfeasibleInstanceError, match="pmf"):
+            compute_thresholds(inst)
+        dp_value = _backward_loop(inst)[1][0]
+    else:
+        dp_value = optimal_value(inst, compute_thresholds(inst))
     assert abs(exhaustive_optimal_value(inst) - dp_value) <= 1e-12
 
 
@@ -240,7 +249,8 @@ def test_simulators_take_a_real_law_that_fails_only_log():
 )
 def test_simulators_refuse_an_unreal_law(params, error):
     inst = InstanceParams(*params)
-    tables = compute_thresholds(inst)
+    ones = np.ones(inst.n + 1)
+    tables = ThresholdTables(n=inst.n, phi=ones, phibar=ones)  # the pass refuses the law
     with pytest.raises(error):
         simulate_policy(inst, tables, trials=10, seed=1)
     with pytest.raises(error):
