@@ -16,16 +16,17 @@ into fixed batches of ``TRIALS_PER_BATCH`` and batch ``i`` of run ``seed``
 draws from a counter-based Philox stream with key ``(seed, i)``, so results
 do not depend on scheduling; per-batch partial sums are reduced in a fixed
 order.  Both simulators share that batch loop, whose first draw in each
-batch is the constant's slot per trial.  The prophet simulator then takes
-two geometric draws per trial, the index of the first top value and, given
-none, the index of the first ``b``, so its cost does not grow with ``n``.
-The policy simulator walks each trial forward and accepts the first
-value at least as large as the applicable future reward (``>=``, matching
-the collapsed tables).  Zero values are never accepted before the forced
-final step (future rewards are positive), so the walk advances by jumping
-between non-zero draws with geometric strides; the visited decisions are
-exactly those of the step-by-step walk.  Both simulators take any instance
-with a real law (:func:`~rostop.instance.require_law`).
+batch is the constant's slot per trial, and each takes a fixed number of
+draws per trial, so neither's cost grows with ``n``.  The prophet simulator
+takes two geometric draws per trial, the index of the first top value and,
+given none, the index of the first ``b``.  The policy simulator draws the
+walk's stopping slot and reward directly: the slots where the walk would
+accept ``b`` lie inside those where it would accept the top value, so it
+stops at the first of the top value's first success on its accepted slots,
+``b``'s first success on its own, the constant's slot if the constant is
+accepted there, and the final step; one exponential draw per value gives
+each first success.  Both simulators take any instance with a real law
+(:func:`~rostop.instance.require_law`).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
 
 MAX_ORACLE_SIZE = 8  # the history space is O(4^n); refuse anything larger
 TRIALS_PER_BATCH = 4096
-_NEVER = np.iinfo(np.int64).max  # sentinel slot meaning "does not happen"
 
 
 class OracleSizeError(ValueError):
@@ -190,7 +190,10 @@ def _run_batches(
         raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
     sums: list[float] = []
     sumsqs: list[float] = []
-    hist = np.zeros(n + 2, dtype=np.int64)
+    # A dense step histogram while it is no larger than the trial count,
+    # else the stops themselves, counted once: memory O(min(n, trials)).
+    hist = np.zeros(n + 2, dtype=np.int64) if n + 2 <= trials else None
+    stops: list[np.ndarray] = []
     n_batches = (trials + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
     for batch in range(n_batches):
         m = min(TRIALS_PER_BATCH, trials - batch * TRIALS_PER_BATCH)
@@ -200,7 +203,10 @@ def _run_batches(
         reward, stop = draw(rng, pos_a)
         sums.append(float(reward.sum()))
         sumsqs.append(float(np.square(reward).sum()))
-        np.add.at(hist, stop, 1)
+        if hist is None:
+            stops.append(stop)
+        else:
+            np.add.at(hist, stop, 1)
 
     total = float(np.sum(np.asarray(sums)))
     total_sq = float(np.sum(np.asarray(sumsqs)))
@@ -210,11 +216,33 @@ def _run_batches(
         std_error = math.sqrt(var / trials)
     else:
         std_error = 0.0
-    steps = np.flatnonzero(hist)
-    histogram = dict(zip(steps.tolist(), hist[steps].tolist()))
+    if hist is None:
+        steps, counts = np.unique(np.concatenate(stops), return_counts=True)
+    else:
+        steps = np.flatnonzero(hist)
+        counts = hist[steps]
+    histogram = dict(zip(steps.tolist(), counts.tolist()))
     return SimulationReport(
         trials=trials, mean=mean, std_error=std_error, stop_histogram=histogram, seed=seed
     )
+
+
+def _first_success(
+    rng: np.random.Generator, pos_a: np.ndarray, q: float, acc_before: int, acc_after: int
+) -> np.ndarray:
+    """Per trial, the first accepted slot whose draw succeeds, or a slot past ``n+1``.
+
+    With the constant at slot ``P`` the accepted slots are ``[acc_before, P)``
+    and ``[max(acc_after, P+1), n+1]``.  Each succeeds with probability ``q``,
+    so the number of failures before the first success is
+    ``floor(E / -log1p(-q))`` for one standard exponential ``E``, laid onto
+    the two intervals in order.
+    """
+    with np.errstate(divide="ignore"):  # q = 1 (no zero atom): 0 failures; q = 0: never
+        fails = np.floor(rng.standard_exponential(pos_a.size) / -np.log1p(-q))
+    before = np.maximum(pos_a - acc_before, 0)
+    after_start = np.maximum(acc_after, pos_a + 1)
+    return np.where(fails < before, acc_before + fails, after_start + (fails - before))
 
 
 def simulate_policy(
@@ -222,14 +250,21 @@ def simulate_policy(
 ) -> SimulationReport:
     """Simulate the threshold rule defined by ``tables``.
 
-    Per trial: the constant's slot is uniform on the ``n+1`` positions, the
-    other slots hold iid draws of ``V`` in order, and the walk accepts the
-    first value at least as large as the applicable future reward
-    (``phibar`` strictly before the constant's slot, ``phi`` after it, the
-    constant itself against ``phi`` at its own slot); whatever arrives at
-    step ``n+1`` is accepted.  Tables must be built for ``inst.n``, positive
-    and nonincreasing in ``k`` (``+inf`` entries are allowed and model
-    "never accept before the end").
+    Per trial: the constant's slot ``P`` is uniform on the ``n+1``
+    positions, the other slots hold iid draws of ``V`` in order, and the
+    walk accepts the first value at least as large as the applicable future
+    reward (``phibar`` strictly before ``P``, ``phi`` after it, the constant
+    itself against ``phi`` at ``P``); whatever arrives at step ``n+1`` is
+    accepted.  Tables must be built for ``inst.n``, positive and
+    nonincreasing in ``k`` (``+inf`` entries are allowed and model "never
+    accept before the end").  So each value is accepted on a before-``P``
+    and an after-``P`` run of slots, ``b``'s inside the top value's, and
+    zero only at ``n+1``.  The stopping slot is the earliest of: the first
+    top value on its slots (probability ``w_top`` each), the first ``b`` on
+    its slots (probability ``w_mid / (1 - w_top)`` each, given no top value
+    there; a tie goes to the top value), ``P`` if the constant is accepted
+    there, and ``n+1``, where a zero is collected.  This is the walk's law,
+    drawn with two exponentials per trial.
     """
     require_law(inst)
     _require_matching_tables(inst, tables)
@@ -240,68 +275,23 @@ def simulate_policy(
         if not np.all(table[2:] <= table[1:-1]):
             raise ValueError("future-reward tables must be nonincreasing in k")
     a, b = inst.a, inst.b
-    nv = float(n)
-    w_top, w_mid, w_zero = inst.distribution().masses
-    q_nz = w_top + w_mid  # per-draw probability of a non-zero value
-    top_frac = w_top / q_nz
-
+    w_top, w_mid, _ = inst.distribution().masses
     # First step from which each support value is accepted, before/after the
-    # constant's slot; the walk only needs these because the tables are
-    # monotone, so "value >= table[k]" is exactly "k >= first crossing".
-    acc_top_after = _sorted_crossing(tables.phi, nv)
-    acc_top_before = _sorted_crossing(tables.phibar, nv)
-    acc_b_after = _sorted_crossing(tables.phi, b)
-    acc_b_before = _sorted_crossing(tables.phibar, b)
+    # constant's slot; the tables are monotone, so "value >= table[k]" is
+    # exactly "k >= first crossing", and b's accepted slots lie inside n's.
+    acc_top = _sorted_crossing(tables.phibar, n), _sorted_crossing(tables.phi, n)
+    acc_b = _sorted_crossing(tables.phibar, b), _sorted_crossing(tables.phi, b)
     acc_a = _sorted_crossing(tables.phi, a)
+    p_mid = w_mid / (1.0 - w_top)
 
-    def walk(rng: np.random.Generator, pos_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = pos_a.size
-        a_slot = np.where(pos_a >= acc_a, pos_a, _NEVER)
-        reward = np.zeros(m)
-        stop = np.zeros(m, dtype=np.int64)
-        jcur = np.zeros(m, dtype=np.int64)  # V-draws consumed so far
-        alive = np.arange(m, dtype=np.int64)
+    def draw(rng: np.random.Generator, pos_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = _first_success(rng, pos_a, w_top, *acc_top)
+        m = _first_success(rng, pos_a, p_mid, *acc_b)
+        stop = np.minimum(np.minimum(t, m), np.where(pos_a >= acc_a, pos_a, n + 1))
+        reward = np.where(t == stop, float(n), np.where(m == stop, b, np.where(pos_a == stop, a, 0.0)))
+        return reward, stop.astype(np.int64)
 
-        while alive.size:
-            strides = rng.geometric(q_nz, size=alive.size).astype(np.int64)
-            jnext = jcur[alive] + strides
-            has_event = jnext <= n
-            pos_alive = pos_a[alive]
-            slot_ev = np.where(has_event, jnext + (jnext >= pos_alive), _NEVER)
-            a_first = a_slot[alive] < slot_ev
-
-            done_a = alive[a_first]
-            reward[done_a] = a
-            stop[done_a] = a_slot[alive][a_first]
-
-            ev_mask = has_event & ~a_first
-            ev_idx = alive[ev_mask]
-            u = rng.random(size=ev_idx.size)
-            is_top = u < top_frac
-            slots = slot_ev[ev_mask]
-            before = slots < pos_a[ev_idx]
-            threshold_idx = np.where(
-                is_top,
-                np.where(before, acc_top_before, acc_top_after),
-                np.where(before, acc_b_before, acc_b_after),
-            )
-            accepted = (slots >= threshold_idx) | (slots == n + 1)
-            done_v = ev_idx[accepted]
-            reward[done_v] = np.where(is_top[accepted], nv, b)
-            stop[done_v] = slots[accepted]
-
-            # No non-zero draw left and no pending constant stop: the walk
-            # reaches the final slot and collects the zero there.
-            done_zero = alive[~has_event & ~a_first]
-            reward[done_zero] = 0.0
-            stop[done_zero] = n + 1
-
-            cont = ev_idx[~accepted]
-            jcur[cont] = jnext[ev_mask][~accepted]
-            alive = cont
-        return reward, stop
-
-    return _run_batches(n, trials, seed, walk)
+    return _run_batches(n, trials, seed, draw)
 
 
 def simulate_prophet(inst: InstanceParams, trials: int, seed: int) -> SimulationReport:

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rostop import oracle
 from rostop import (
     InfeasibleInstanceError,
     InstanceParams,
@@ -100,7 +102,8 @@ def test_exhaustive_size_guard():
 
 
 def _walk_reward(inst, tables, pos_a, vseq):
-    # Literal step-by-step walk, used as the reference semantics.
+    # Literal step-by-step walk, used as the reference semantics: the reward
+    # and the slot it is taken at.
     n = inst.n
     for s in range(1, n + 2):
         if s == pos_a:
@@ -110,7 +113,7 @@ def _walk_reward(inst, tables, pos_a, vseq):
             x = vseq[j - 1]
             threshold = (tables.phi[s] if s > pos_a else tables.phibar[s]) if s <= n else None
         if s == n + 1 or x >= threshold:
-            return x
+            return x, s
     raise AssertionError("walk must stop by the final step")
 
 
@@ -124,11 +127,77 @@ def test_simulation_matches_exact_walk_enumeration():
         for combo in itertools.product(range(3), repeat=n):
             prob = math.prod(dist.masses[i] for i in combo) / (n + 1)
             vseq = tuple(dist.support[i] for i in combo)
-            exact += prob * _walk_reward(inst, tables, pos_a, vseq)
+            exact += prob * _walk_reward(inst, tables, pos_a, vseq)[0]
     # the threshold walk achieves the program value
     assert exact == pytest.approx(optimal_value(inst, tables), abs=1e-12)
     report = simulate_policy(inst, tables, trials=400_000, seed=20240811)
     assert abs(report.mean - exact) <= 4.0 * report.std_error
+
+
+def _hand_tables(phi, phibar):
+    return ThresholdTables(n=len(phi), phi=np.array([np.nan, *phi]), phibar=np.array([np.nan, *phibar]))
+
+
+@pytest.mark.parametrize(
+    "params, hand",
+    [
+        ((*REF_PARAMS, 3), None),  # the computed tables
+        # top refused at slot 1 on both sides, b from slot 3, a only at n+1
+        ((*REF_PARAMS, 3), ((4.0, 2.0, 0.95), (np.inf, 2.5, 1.0))),
+        # after the constant nothing but the final slot; before it top from slot 3
+        ((*REF_PARAMS, 3), ((np.inf, np.inf, 5.0), (7.0, 7.0, 3.0))),
+        # no zero atom: p/n + 1/n^2 = 1, so every draw is b or the top value
+        ((0.5, 1.2, 1.5, 2), None),
+    ],
+    ids=["computed", "top-refused-early", "final-slot-after", "no-zero-atom"],
+)
+def test_policy_stop_law_matches_exact_enumeration(params, hand, monkeypatch):
+    # (n+1) constant positions x 3^n value sequences give the exact law of
+    # (reward, stop slot) under the step-by-step walk.
+    inst, dist = make_instance(*params)
+    tables = compute_thresholds(inst) if hand is None else _hand_tables(*hand)
+    n = inst.n
+    law: dict[tuple[float, int], float] = {}
+    for pos_a in range(1, n + 2):
+        for combo in itertools.product(range(3), repeat=n):
+            prob = math.prod(dist.masses[i] for i in combo) / (n + 1)
+            cell = _walk_reward(inst, tables, pos_a, tuple(dist.support[i] for i in combo))
+            law[cell] = law.get(cell, 0.0) + prob
+    if hand is not None:
+        assert min(s for (x, s) in law if x == float(n)) > 1  # top refused early
+        assert {s for (x, s) in law if x == inst.a} == {n + 1}  # a only at the end
+    draws = []
+
+    def recording_batches(n, trials, seed, draw):
+        def recorded(rng, pos_a):
+            draws.append(draw(rng, pos_a))
+            return draws[-1]
+
+        return run_batches(n, trials, seed, recorded)
+
+    run_batches = oracle._run_batches
+    monkeypatch.setattr(oracle, "_run_batches", recording_batches)
+    trials = 400_000
+    report = simulate_policy(inst, tables, trials=trials, seed=20240813)
+    rewards = np.concatenate([r for r, _ in draws])
+    stops = np.concatenate([s for _, s in draws])
+    assert report.mean == pytest.approx(rewards.mean(), rel=1e-12)
+    exact = sum(x * prob for (x, _), prob in law.items())
+    assert abs(report.mean - exact) <= 4.0 * report.std_error
+    observed = {(x, s): np.count_nonzero((rewards == x) & (stops == s)) for x, s in law}
+    assert sum(observed.values()) == trials  # no trial outside the walk's cells
+    for cell, prob in law.items():
+        sigma = math.sqrt(prob * (1.0 - prob) / trials)
+        assert abs(observed[cell] / trials - prob) <= 4.0 * sigma, cell
+
+
+def test_policy_at_a_large_p_law_agrees_with_optimal_value():
+    # p = 700: the non-zero draws are dense and the walk of one step per
+    # rejected draw took seconds; the first-success draws take milliseconds.
+    inst, _ = make_instance(0.5, 1.001, 700, 10_000)
+    tables = compute_thresholds(inst)
+    report = simulate_policy(inst, tables, trials=100_000, seed=23)
+    assert abs(report.mean - optimal_value(inst, tables)) <= 4.0 * report.std_error
 
 
 def test_simulation_reports_are_reproducible():
@@ -292,6 +361,19 @@ def test_prophet_stop_law_matches_exact_enumeration():
     for slot, prob in slot_law.items():
         sigma = math.sqrt(prob * (1.0 - prob) / trials)
         assert abs(report.stop_histogram.get(slot, 0) / trials - prob) <= 4.0 * sigma
+
+
+def test_prophet_histogram_memory_follows_the_trial_count():
+    # A dense step histogram at n = 10^7 would take 77 MiB for 10 trials.
+    inst, _ = make_instance(*REF_PARAMS, 10**7)
+    tracemalloc.start()
+    try:
+        report = simulate_prophet(inst, trials=10, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sum(report.stop_histogram.values()) == 10
 
 
 def test_prophet_simulation_agrees_with_exact_value():
