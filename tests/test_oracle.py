@@ -1,6 +1,9 @@
+import io
 import itertools
+import json
 import math
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -411,3 +414,130 @@ def test_report_json_schema():
     payload = json.loads(report.to_json())
     assert set(payload) == {"trials", "mean", "std_error", "seed", "stop_histogram"}
     assert sum(payload["stop_histogram"].values()) == 100
+
+
+def _recorded_stops(monkeypatch) -> list:
+    # Keep every batch's stops, so that a test can count them its own way.
+    stops = []
+    run = oracle._run_batches
+
+    def recording_run(n, trials, seed, draw):
+        def recorded(rng, pos_a):
+            reward, stop = draw(rng, pos_a)
+            stops.append(stop.copy())
+            return reward, stop
+
+        return run(n, trials, seed, recorded)
+
+    monkeypatch.setattr(oracle, "_run_batches", recording_run)
+    return stops
+
+
+@pytest.mark.parametrize("n", [10, 10**3, 10**6])  # dense, dense, sparse count
+@pytest.mark.parametrize("kind", ["policy", "prophet"])
+def test_report_bytes_equal_a_dict_histogram_reference(n, kind, monkeypatch):
+    inst, _ = make_instance(*REF_PARAMS, n)
+    stops = _recorded_stops(monkeypatch)
+    if kind == "policy":
+        report = simulate_policy(inst, compute_thresholds(inst), trials=10_000, seed=7)
+    else:
+        report = simulate_prophet(inst, trials=10_000, seed=7)
+    counted: dict[int, int] = {}
+    for step in np.concatenate(stops).tolist():
+        counted[step] = counted.get(step, 0) + 1
+    rows = sorted(counted.items())
+    payload = {
+        "trials": report.trials,
+        "mean": report.mean,
+        "std_error": report.std_error,
+        "seed": report.seed,
+        "stop_histogram": {str(k): v for k, v in rows},
+    }
+    assert report.to_json() == json.dumps(payload)
+    out = io.StringIO()
+    oracle.write_histogram_csv(report, out)
+    assert out.getvalue() == "step,count\n" + "".join(f"{k},{v}\n" for k, v in rows)
+    assert report.stop_histogram == counted
+
+
+def test_stop_histogram_is_a_read_only_mapping():
+    inst, _ = make_instance(*REF_PARAMS, 1000)
+    tables = compute_thresholds(inst)
+    report = simulate_policy(inst, tables, trials=20_000, seed=3)
+    hist = report.stop_histogram
+    assert isinstance(hist, Mapping) and not isinstance(hist, dict)
+    steps = list(hist)
+    assert len(hist) == len(steps) == hist.steps.size
+    assert all(s < t for s, t in zip(steps, steps[1:]))
+    assert list(hist.keys()) == steps
+    assert list(hist.values()) == [hist[s] for s in steps]
+    assert list(hist.items()) == list(zip(steps, hist.values()))
+    assert all(type(s) is int for s in steps) and all(type(c) is int for c in hist.values())
+    assert sum(hist.values()) == 20_000
+    first = steps[0]
+    assert hist.get(first) == hist[first] > 0 and first in hist
+    assert hist.get(0) is None and hist.get(inst.n + 2, 0) == 0
+    for missing in (0, -1, inst.n + 2, str(first), first + 0.5, None):
+        assert missing not in hist
+        with pytest.raises(KeyError):
+            hist[missing]
+    as_dict = dict(hist.items())
+    assert hist == simulate_policy(inst, tables, trials=20_000, seed=3).stop_histogram
+    assert hist == as_dict and as_dict == hist
+    assert hist != {**as_dict, first: as_dict[first] + 1}
+    assert hist != simulate_policy(inst, tables, trials=20_000, seed=4).stop_histogram
+    assert hist != list(as_dict.items())
+    for array in (hist.steps, hist.counts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
+
+
+def test_stop_histogram_rejects_unsorted_or_unpaired_arrays():
+    with pytest.raises(ValueError, match="ascend"):
+        oracle.StopHistogram(np.array([2, 1]), np.array([1, 1]))
+    with pytest.raises(ValueError, match="ascend"):
+        oracle.StopHistogram(np.array([1, 1]), np.array([1, 1]))
+    with pytest.raises(ValueError, match="one count per step"):
+        oracle.StopHistogram(np.array([1, 2]), np.array([1]))
+
+
+def test_prophet_report_memory_per_distinct_stop():
+    # A dict histogram retained about 88 bytes per distinct stop here; the
+    # two int64 arrays take 16.
+    inst, _ = make_instance(*REF_PARAMS, 10**7)
+    simulate_prophet(inst, trials=10, seed=1)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = simulate_prophet(inst, trials=100_000, seed=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.stop_histogram) > 90_000
+    assert retained < 40 * len(report.stop_histogram)
+
+
+def test_prophet_takes_a_law_whose_b_mass_underflows():
+    # p / n = 5e-324 / 2 rounds to 0: b is never drawn, and the law passes.
+    inst, dist = make_instance(0.5, 1.2, 5e-324, 2)
+    assert dist.masses == (0.25, 0.0, 0.75)
+    report = simulate_prophet(inst, trials=100_000, seed=9)
+    assert abs(report.mean - prophet_exact(inst)) <= 4.0 * report.std_error
+    assert set(report.stop_histogram) <= {1, 2, 3}
+
+
+def test_simulators_take_a_law_whose_conditional_b_mass_rounds_above_one():
+    # No zero atom: p / n + 1 / n^2 <= 1 passes the law, but
+    # w_mid / (1 - w_top) rounds to 1 + 2^-52 at n = 3.
+    inst, dist = make_instance(0.5, 1.2, 2.666666666666667, 3)
+    w_top, w_mid, _ = dist.masses
+    assert w_mid / (1.0 - w_top) > 1.0
+    tables = compute_thresholds(inst)
+    policy = simulate_policy(inst, tables, trials=100_000, seed=9)
+    assert abs(policy.mean - optimal_value(inst, tables)) <= 4.0 * policy.std_error
+    prophet = simulate_prophet(inst, trials=100_000, seed=9)
+    assert abs(prophet.mean - prophet_exact(inst)) <= 4.0 * prophet.std_error
+    for report in (policy, prophet):
+        assert set(report.stop_histogram) <= {1, 2, 3, 4}
