@@ -424,7 +424,7 @@ def _recorded_stops(monkeypatch) -> list:
     def recording_run(n, trials, seed, draw):
         def recorded(rng, pos_a):
             reward, stop = draw(rng, pos_a)
-            stops.append(stop.copy())
+            stops.append(stop)
             return reward, stop
 
         return run(n, trials, seed, recorded)
