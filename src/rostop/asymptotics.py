@@ -177,12 +177,14 @@ def q_derivatives(
     unsimplified derivative and raises :class:`ConsistencyError` if the two
     disagree beyond 1e-12, so a wrong ``lambda_star`` cannot pass silently.
     """
-    mu_star = _limits(a, b, p, math.log1p)[1]
-    if not mu_star <= nu <= lambda_star:
-        raise ParameterError(
-            f"nu={nu!r} outside [mu*, lambda*] = [{mu_star!r}, {lambda_star!r}]"
-        )
-    q1, q1_unsimplified, q2, q3 = _q_terms(a, b, p, lambda_star, nu, math.exp)
+    return _q_derivatives(a, b, p, lambda_star, _limits(a, b, p, math.log1p)[1], nu)
+
+
+def _q_derivatives(a, b, p, lam, mu_star, nu):
+    """:func:`q_derivatives` given ``mu*``, for callers that already hold it."""
+    if not mu_star <= nu <= lam:
+        raise ParameterError(f"nu={nu!r} outside [mu*, lambda*] = [{mu_star!r}, {lam!r}]")
+    q1, q1_unsimplified, q2, q3 = _q_terms(a, b, p, lam, nu, math.exp)
     if abs(q1 - q1_unsimplified) > 1e-12:
         raise ConsistencyError(
             "simplified and unsimplified q' disagree: "

@@ -2,10 +2,14 @@
 
 The bound on the optimal rule's ratio is ``M(a,b,p) = m / L`` where
 ``m = max_{nu in [mu*, lambda*]} q(lambda*, mu*, nu)`` and ``L`` is the
-large-size expectation of the offline maximum.  Since ``q'`` is convex on
-the interval and ``q'(lambda*) <= 0`` under condition I, only two shapes
-are possible: ``q'`` nonpositive throughout (maximum at ``mu*``) or a
-single interior zero ``nu*`` located by bracketing bisection.
+large-size expectation of the offline maximum.  The maximum is always
+interior: ``q'(lambda*) <= 0`` under condition I, and ``q'(mu*) > 0`` for
+every ``a, p > 0`` and ``b > a``.  Proof: ``e^{p(mu* - 1)} = 1/u`` and
+``mu* - lambda* = -log(v)/p`` with ``u = 1 + bp`` and ``v = 1 + (b-a)p``, so
+``q'(mu*) = log(u/v)/p - a/u = v((1+x) log(1+x) - x)/(pu)`` with
+``x = ap/v > 0``, and ``(1+x) log(1+x) > x`` for ``x > 0``.  So ``q'``
+changes sign on the interval, and its zero ``nu*`` is located by
+bracketing bisection.
 
 Bisection is used deliberately instead of a faster root finder: the error
 certificate rests on its bracket guarantee.  The returned ``nu_hat`` is the
@@ -37,8 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import ConsistencyError, _limits, _q, _q_terms
-from .asymptotics import lambda_mu_star, q_derivatives, q_eval
+from .asymptotics import ConsistencyError, _limits, _q, _q_derivatives, _q_terms
+from .asymptotics import lambda_mu_star, q_eval
 from .instance import ParameterError
 from .prophet import _limit, prophet_limit
 
@@ -61,8 +65,7 @@ _QPRIME_ROUNDING = 4 * 2.0**-52
 
 
 class BracketError(ValueError):
-    """The function does not change sign on the interval; use the monotone
-    endpoint maximum instead of bisection."""
+    """The function does not change sign on the interval, so bisection cannot start."""
 
 
 class MaxIterationsError(RuntimeError):
@@ -85,7 +88,7 @@ class HardnessBound:
     nu_hat: float
     m: float
     M: float
-    case: str  # "interior" or "monotone"
+    case: str  # always "interior": the maximum never sits at an end
     nu_error_bound: float
     q_error_bound: float
     iterations: int
@@ -105,9 +108,9 @@ class ErrorCertificate:
     nu_error_bound: float
     qprime_sup: float
     q_error_bound: float
-    grid_points: int  # points where q' is evaluated: the two ends, or 0 if monotone
-    qprime_convex: bool
-    trivially_exact: bool
+    grid_points: int  # points where q' is evaluated: always the bracket's two ends
+    qprime_convex: bool  # always True: certify raises when convexity is not proved
+    trivially_exact: bool  # always False: the maximiser is never a closed-form endpoint
 
 
 def _bisect(
@@ -127,8 +130,7 @@ def _bisect(
     flo, fhi = fn(lo), fn(hi)
     if not (flo > 0.0 >= fhi):
         raise BracketError(
-            f"no sign change: fn(lo)={flo!r}, fn(hi)={fhi!r}; "
-            "the interval maximum sits at an endpoint (monotone case)"
+            f"no sign change: need fn(lo) > 0 >= fn(hi), got fn(lo)={flo!r}, fn(hi)={fhi!r}"
         )
     iterations = 0
     while True:
@@ -171,8 +173,8 @@ def _qprime_sup(
         raise CertificationError(
             f"interval [{lo!r}, {hi!r}] is not inside [mu*, lambda*] = [{mu!r}, {lam!r}]"
         )
-    q1_lo, q2_lo, q3_lo = q_derivatives(a, b, p, lam, lo)
-    q1_hi, q2_hi, q3_hi = q_derivatives(a, b, p, lam, hi)
+    q1_lo, q2_lo, q3_lo = _q_derivatives(a, b, p, lam, mu, lo)
+    q1_hi, q2_hi, q3_hi = _q_derivatives(a, b, p, lam, mu, hi)
     if not (q3_lo > 0.0 and q3_hi > 0.0):
         raise CertificationError(
             f"q''' is not positive at both ends ({q3_lo!r}, {q3_hi!r}), "
@@ -194,30 +196,24 @@ def _maximise_q(
     mu: float,
     xtol: float,
     rtol: float,
-) -> tuple[str, float, float, int, float]:
-    """Maximise ``nu -> q(lam, mu, nu)`` over ``[mu, lam]``.
+) -> tuple[float, float, int, float]:
+    """Maximise ``nu -> q(lam, mu, nu)`` over ``[mu, lam] = [mu*, lambda*]``.
 
-    Returns ``(case, nu_hat, m, iterations, nu_error_bound)``.  ``q'`` must
-    be nonincreasing-then-at-most-zero in the convex sense established on
-    the interval: ``q'(lam) <= 0`` is asserted, and ``q'(mu) <= 0`` selects
-    the monotone endpoint case.  Otherwise the interior zero of ``q'`` is
-    bisected; about ``log2((lam - mu)/xtol) ~ 42`` halvings suffice at the
-    default tolerances.
+    Returns ``(nu_hat, m, iterations, nu_error_bound)``.  ``q'(lam) <= 0``
+    is asserted, and ``q'(mu) > 0`` (see the module docstring) is checked
+    by :func:`_bisect`, which then bisects the zero of ``q'``; about
+    ``log2((lam - mu)/xtol) ~ 42`` halvings suffice at the default
+    tolerances.
     """
-    q1_hi = q_derivatives(a, b, p, lam, lam)[0]
+    f = lambda nu: _q_derivatives(a, b, p, lam, mu, nu)[0]
+    q1_hi = f(lam)
     if q1_hi > 0.0:
         raise ConsistencyError(
             f"q'(lambda*) = {q1_hi!r} > 0 despite condition I; "
             "this signals a bug in the derivative or the validation"
         )
-    q1_lo = q_derivatives(a, b, p, lam, mu)[0]
-    if q1_lo <= 0.0:
-        # q is nonincreasing on the whole interval: maximum at the left end,
-        # no root finding and hence no numerical error to certify.
-        return "monotone", mu, q_eval(a, b, p, lam, mu, mu), 0, 0.0
-    f = lambda nu: q_derivatives(a, b, p, lam, nu)[0]
     nu_hat, iterations, half_width = _bisect(f, mu, lam, xtol, rtol, _MAX_ITER)
-    return "interior", nu_hat, q_eval(a, b, p, lam, mu, nu_hat), iterations, half_width
+    return nu_hat, q_eval(a, b, p, lam, mu, nu_hat), iterations, half_width
 
 
 def hardness_bound(
@@ -237,23 +233,19 @@ def hardness_bound(
             f"xtol and rtol must be nonnegative numbers, got xtol={xtol!r}, rtol={rtol!r}"
         )
     prof = lambda_mu_star(a, b, p)
-    case, nu_hat, m, iterations, nu_err = _maximise_q(
-        a, b, p, prof.lambda_star, prof.mu_star, xtol, rtol
-    )
-    q_err = 0.0
-    if case == "interior":
-        lo, hi = nu_hat - nu_err, nu_hat + nu_err
-        q_err = _qprime_sup(a, b, p, prof.lambda_star, prof.mu_star, lo, hi) * nu_err
+    lam, mu = prof.lambda_star, prof.mu_star
+    nu_hat, m, iterations, nu_err = _maximise_q(a, b, p, lam, mu, xtol, rtol)
+    q_err = _qprime_sup(a, b, p, lam, mu, nu_hat - nu_err, nu_hat + nu_err) * nu_err
     return HardnessBound(
         a=a,
         b=b,
         p=p,
-        lambda_star=prof.lambda_star,
-        mu_star=prof.mu_star,
+        lambda_star=lam,
+        mu_star=mu,
         nu_hat=nu_hat,
         m=m,
         M=m / prophet_limit(a, b, p),
-        case=case,
+        case="interior",
         nu_error_bound=nu_err,
         q_error_bound=q_err,
         iterations=iterations,
@@ -265,26 +257,13 @@ def hardness_bound(
 def certify(bound: HardnessBound) -> ErrorCertificate:
     """Re-derive the error chain of a computed bound.
 
-    Interior case: checks ``nu_error_bound <= xtol + |nu_hat| * rtol``,
-    proves ``q'`` convex on ``[nu_hat - e, nu_hat + e]`` (third derivative
-    positive at both ends), bounds ``sup |q'|`` there in closed form from
-    ``q'`` and ``q''`` at the two ends, and concludes
-    ``|q(nu_hat) - max q| <= sup * e < e``.  Raises
-    :class:`CertificationError` when the interval leaves ``[mu*, lambda*]``,
-    when convexity fails, or when ``sup >= 1``.
-
-    Monotone case: the maximiser is the closed-form endpoint, so the
-    certificate is trivially exact.
+    Checks ``nu_error_bound <= xtol + |nu_hat| * rtol``, proves ``q'``
+    convex on ``[nu_hat - e, nu_hat + e]`` (third derivative positive at
+    both ends), bounds ``sup |q'|`` there in closed form from ``q'`` and
+    ``q''`` at the two ends, and concludes ``|q(nu_hat) - max q| <= sup * e
+    < e``.  Raises :class:`CertificationError` when the interval leaves
+    ``[mu*, lambda*]``, when convexity fails, or when ``sup >= 1``.
     """
-    if bound.case == "monotone":
-        return ErrorCertificate(
-            nu_error_bound=0.0,
-            qprime_sup=0.0,
-            q_error_bound=0.0,
-            grid_points=0,
-            qprime_convex=True,
-            trivially_exact=True,
-        )
     e = bound.nu_error_bound
     claim = bound.xtol + abs(bound.nu_hat) * bound.rtol
     if not e <= claim:
@@ -337,7 +316,7 @@ def _pymin(x, y):
 
 
 def _q_derivatives_lanes(a, b, p, lam, mu_star, nu):
-    """:func:`q_derivatives` per lane: ``(q1, q2, q3, bad)``.
+    """:func:`~rostop.asymptotics._q_derivatives` per lane: ``(q1, q2, q3, bad)``.
 
     ``bad`` marks the lanes where the scalar raises: ``nu`` outside
     ``[mu*, lambda*]``, or simplified and unsimplified ``q'`` apart by more
@@ -348,41 +327,34 @@ def _q_derivatives_lanes(a, b, p, lam, mu_star, nu):
     return q1, q2, q3, bad
 
 
-def _maximise_q_lanes(a, b, p, lam, mu_star, mu, xtol, rtol):
-    """:func:`_maximise_q` per lane, with every interior lane bisected in lockstep.
+def _maximise_q_lanes(a, b, p, lam, mu, xtol, rtol):
+    """:func:`_maximise_q` per lane, with every lane bisected in lockstep.
 
-    ``mu`` is the left end of the maximisation interval and ``mu_star`` that
-    of the domain :func:`q_derivatives` checks; they differ only when a test
-    restricts the interval.  Returns ``(interior, nu_hat, m, iterations,
-    nu_error_bound, bad)``; the entries of bad lanes are meaningless.
+    Returns ``(nu_hat, m, iterations, nu_error_bound, bad)``; the entries of
+    bad lanes are meaningless.
     """
-    q1_hi, _, _, bad = _q_derivatives_lanes(a, b, p, lam, mu_star, lam)
-    q1_lo, _, _, bad_lo = _q_derivatives_lanes(a, b, p, lam, mu_star, mu)
-    bad |= (q1_hi > 0.0) | bad_lo
-    interior = ~(q1_lo <= 0.0)
-    bad |= interior & ~((q1_lo > 0.0) & (0.0 >= q1_hi))
+    q1_hi, _, _, bad = _q_derivatives_lanes(a, b, p, lam, mu, lam)
+    q1_lo, _, _, bad_lo = _q_derivatives_lanes(a, b, p, lam, mu, mu)
+    bad |= bad_lo | ~((q1_lo > 0.0) & (0.0 >= q1_hi))
     # _bisect in lockstep: each lane stops on its own width test, so its
     # halving count is the scalar's; finished and bad lanes stay frozen.
     lo, hi = mu, lam
     iterations = np.zeros(a.size, int)
-    running = interior & ~bad
+    running = ~bad
     for halvings in range(_MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
         running &= ~(hi - lo <= xtol + np.abs(mid) * rtol)
         if not running.any() or halvings == _MAX_ITER:
             break
         iterations += running
-        q1, _, _, bad_mid = _q_derivatives_lanes(a, b, p, lam, mu_star, mid)
+        q1, _, _, bad_mid = _q_derivatives_lanes(a, b, p, lam, mu, mid)
         bad |= running & bad_mid
         running &= ~bad
         up = q1 > 0.0
         lo = np.where(running & up, mid, lo)
         hi = np.where(running & ~up, mid, hi)
     bad |= running  # the iteration budget is spent
-    nu_hat = np.where(interior, mid, mu)
-    nu_err = np.where(interior, 0.5 * (hi - lo), 0.0)
-    m = _q(a, b, p, lam, mu, nu_hat, _exp)
-    return interior, nu_hat, m, iterations, nu_err, bad
+    return mid, _q(a, b, p, lam, mu, mid, _exp), iterations, 0.5 * (hi - lo), bad
 
 
 def _qprime_sup_lanes(a, b, p, lam, mu, lo, hi):
@@ -411,11 +383,11 @@ def _hardness_bounds(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> dict[str, n
     the point named in its message.
     """
     lam, mu = _limits(a, b, p, _log1p)
-    interior, nu_hat, m, iterations, nu_err, bad = _maximise_q_lanes(
-        a, b, p, lam, mu, mu, DEFAULT_XTOL, DEFAULT_RTOL
+    nu_hat, m, iterations, nu_err, bad = _maximise_q_lanes(
+        a, b, p, lam, mu, DEFAULT_XTOL, DEFAULT_RTOL
     )
     sup, bad_sup = _qprime_sup_lanes(a, b, p, lam, mu, nu_hat - nu_err, nu_hat + nu_err)
-    bad |= (interior & bad_sup) | ~((a > 0) & (b > 0) & (p > 0))
+    bad |= bad_sup | ~((a > 0) & (b > 0) & (p > 0))
     if bad.any():
         j = int(np.argmax(bad))
         point = (a[j].item(), b[j].item(), p[j].item())
@@ -433,8 +405,8 @@ def _hardness_bounds(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> dict[str, n
         "nu_hat": nu_hat,
         "m": m,
         "M": m / _limit(a, b, p, _exp),
-        "case": np.where(interior, "interior", "monotone"),
+        "case": np.full(a.size, "interior"),
         "nu_error_bound": nu_err,
-        "q_error_bound": np.where(interior, sup * nu_err, 0.0),
+        "q_error_bound": sup * nu_err,
         "iterations": iterations,
     }

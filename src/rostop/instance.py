@@ -147,7 +147,8 @@ class InstanceParams:
         mid = self.p / n
         return ValueDistribution(
             support=(float(n), self.b, 0.0),
-            masses=(top, mid, 1.0 - mid - top),
+            # the complement of the pmf row's own sum, so >= 0 on every real law
+            masses=(top, mid, 1.0 - (mid + top)),
             mean=(1.0 + self.b * self.p) / n,
         )
 

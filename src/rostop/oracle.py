@@ -362,10 +362,11 @@ def simulate_policy(
     _require_matching_tables(inst, tables)
     n = inst.n
     for table in (tables.phi, tables.phibar):
-        if not np.all(table[1:] > 0.0):
-            raise ValueError("future-reward tables must be positive")
+        # nonincreasing with table[n] > 0 is positive throughout; a NaN fails one test
         if not np.all(table[2:] <= table[1:-1]):
             raise ValueError("future-reward tables must be nonincreasing in k")
+        if not table[n] > 0.0:
+            raise ValueError("future-reward tables must be positive")
     a, b = inst.a, inst.b
     w_top, p_mid = _top_and_mid(inst)
     # First step from which each support value is accepted, before/after the

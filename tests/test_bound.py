@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rostop.bound
 from rostop import (
@@ -26,6 +30,7 @@ from rostop.bound import (
     _maximise_q_lanes,
     _qprime_sup,
 )
+from rostop.sweep import SweepSpec, _grid
 
 from conftest import PERTURBED, REF_PARAMS
 
@@ -132,37 +137,57 @@ def test_bound_below_one_across_feasible_points():
     assert interior >= 5
 
 
-def test_monotone_branch_via_restricted_interval():
-    # The left endpoint pinned above the interior root makes q' nonpositive
-    # on the whole remaining interval, selecting the closed-form endpoint
-    # maximum with a zero-error certificate.
-    prof = lambda_mu_star(*REF_PARAMS)
-    mu_fake = 0.3
-    assert q_derivatives(*REF_PARAMS, prof.lambda_star, mu_fake)[0] < 0.0
-    case, nu_hat, m, iterations, nu_err = _maximise_q(
-        *REF_PARAMS, prof.lambda_star, mu_fake, 1e-13, 1e-14
-    )
-    assert case == "monotone"
-    assert nu_hat == mu_fake
-    assert m == q_eval(*REF_PARAMS, prof.lambda_star, mu_fake, mu_fake)
-    assert iterations == 0 and nu_err == 0.0
+# The README's 11^3 sweep grid, 778 of whose points are feasible.
+_README_GRID = SweepSpec(a=(0.75, 0.85, 0.01), b=(1.2, 1.3, 0.01), p=(0.4, 0.5, 0.01))
 
 
-def test_batched_monotone_and_interior_lanes_match_scalar():
-    # No feasible grid point is monotone, so the restricted interval of the
-    # test above drives the batched monotone branch, beside an interior lane.
-    prof = lambda_mu_star(*REF_PARAMS)
-    mus = (0.3, prof.mu_star)
-    lanes = (np.full(2, x) for x in (*REF_PARAMS, prof.lambda_star, prof.mu_star))
-    interior, nu_hat, m, iterations, nu_err, bad = _maximise_q_lanes(
-        *lanes, np.array(mus), DEFAULT_XTOL, DEFAULT_RTOL
+def _assert_qprime_at_mu_star_positive(a, b, p):
+    # q'(mu*) = v((1+x) log(1+x) - x)/(pu) with u = 1+bp, v = 1+(b-a)p and
+    # x = ap/v, which is positive for a, p > 0 and b > a: the maximum of q is
+    # never at the left end.
+    prof = lambda_mu_star(a, b, p)
+    q1 = q_derivatives(a, b, p, prof.lambda_star, prof.mu_star)[0]
+    u, v = 1.0 + b * p, 1.0 + (b - a) * p
+    x = a * p / v
+    closed = v * ((1.0 + x) * math.log1p(x) - x) / (p * u)
+    assert q1 > 0.0 and closed > 0.0, (a, b, p)
+    assert abs(q1 - closed) <= 1e-12, (a, b, p)
+
+
+def test_qprime_at_mu_star_positive_on_the_readme_grid():
+    points = [pt for pt in _grid(_README_GRID) if validate(*pt).passed]
+    assert len(points) == 778
+    for point in points:
+        _assert_qprime_at_mu_star_positive(*point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.floats(0.05, 4.0),
+    b=st.floats(1.0, 1.45, exclude_min=True),
+    s=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_qprime_at_mu_star_positive_at_feasible_points(p, b, s):
+    # a is drawn above the bound that condition V sets, which keeps most
+    # draws feasible: V reads a p > 1 + y - (1+y) log(1+y) / y with y = p b.
+    y = p * b
+    a_min = (1.0 + y - (1.0 + y) * math.log1p(y) / y) / p
+    a = a_min + s * (1.0 - a_min)
+    assume(validate(a, b, p).passed)
+    _assert_qprime_at_mu_star_positive(a, b, p)
+
+
+def test_batched_lanes_match_scalar():
+    points = [REF_PARAMS, *PERTURBED]
+    profs = [lambda_mu_star(*pt) for pt in points]
+    lanes = np.array([(*pt, prof.lambda_star, prof.mu_star) for pt, prof in zip(points, profs)])
+    nu_hat, m, iterations, nu_err, bad = _maximise_q_lanes(
+        *lanes.T, DEFAULT_XTOL, DEFAULT_RTOL
     )
-    assert bad.tolist() == [False, False]
-    assert interior.tolist() == [False, True]
-    for j, mu in enumerate(mus):
-        case = "interior" if interior[j] else "monotone"
-        assert (case, nu_hat[j], m[j], iterations[j], nu_err[j]) == _maximise_q(
-            *REF_PARAMS, prof.lambda_star, mu, DEFAULT_XTOL, DEFAULT_RTOL
+    assert not bad.any()
+    for j, (pt, prof) in enumerate(zip(points, profs)):
+        assert (nu_hat[j], m[j], iterations[j], nu_err[j]) == _maximise_q(
+            *pt, prof.lambda_star, prof.mu_star, DEFAULT_XTOL, DEFAULT_RTOL
         )
 
 
@@ -172,11 +197,9 @@ def test_batched_iteration_budget_flags_every_interior_lane():
     with pytest.raises(MaxIterationsError):
         hardness_bound(*REF_PARAMS, xtol=0.0, rtol=0.0)
     prof = lambda_mu_star(*REF_PARAMS)
-    mus = np.array([0.3, prof.mu_star, prof.mu_star])
     lanes = (np.full(3, x) for x in (*REF_PARAMS, prof.lambda_star, prof.mu_star))
-    interior, *_, bad = _maximise_q_lanes(*lanes, mus, 0.0, 0.0)
-    assert interior.tolist() == [False, True, True]
-    assert bad.tolist() == interior.tolist()
+    *_, bad = _maximise_q_lanes(*lanes, 0.0, 0.0)
+    assert bad.tolist() == [True, True, True]
 
 
 def test_infeasible_parameters_rejected():
@@ -202,18 +225,6 @@ def test_certificate_interior():
     assert cert.qprime_convex
     assert cert.grid_points == 2
     assert not cert.trivially_exact
-
-
-def test_certificate_monotone_trivially_exact():
-    hb = hardness_bound(*REF_PARAMS)
-    mono = HardnessBound(
-        a=hb.a, b=hb.b, p=hb.p, lambda_star=hb.lambda_star, mu_star=hb.mu_star,
-        nu_hat=hb.mu_star, m=q_eval(*REF_PARAMS, hb.lambda_star, hb.mu_star, hb.mu_star),
-        M=0.5, case="monotone", nu_error_bound=0.0, q_error_bound=0.0, iterations=0,
-    )
-    cert = certify(mono)
-    assert cert.trivially_exact
-    assert cert.q_error_bound == 0.0
 
 
 def test_certificate_rejects_inflated_error_claim():
@@ -260,13 +271,13 @@ def test_qprime_sup_dominates_sampled_qprime():
 
 def test_certificate_rejects_nonconvex_qprime(monkeypatch):
     hb = hardness_bound(*REF_PARAMS)
-    real = rostop.bound.q_derivatives
+    real = rostop.bound._q_derivatives
 
     def negative_third(*args):
         q1, q2, q3 = real(*args)
         return q1, q2, -q3
 
-    monkeypatch.setattr(rostop.bound, "q_derivatives", negative_third)
+    monkeypatch.setattr(rostop.bound, "_q_derivatives", negative_third)
     with pytest.raises(CertificationError):
         certify(hb)
     with pytest.raises(CertificationError):

@@ -505,11 +505,10 @@ def test_multi_block_points_need_more_than_one_block():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_laws_without_a_zero_atom_match_the_oracle(n):
-    # p = n - 1/n leaves no zero atom: its float mass is 0 at n = 2, 4, 8 and
-    # about 1e-17 at the other sizes.  The pass, the prophet and the sandwich
-    # take such laws without a warning.
+    # p = n - 1/n leaves no zero atom: its float mass is 0 at every size.
+    # The pass, the prophet and the sandwich take such laws without a warning.
     inst, dist = make_instance(0.5, 1.2, n - 1.0 / n, n)
-    assert (dist.masses[2] == 0.0) == (n in (2, 4, 8))
+    assert dist.masses[2] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tables = compute_thresholds(inst)

@@ -70,6 +70,15 @@ def test_masses_n2():
     assert dist.support == (2.0, 1.24, 0.0)
 
 
+def test_zero_mass_is_nonnegative_where_the_pmf_row_is_exactly_one():
+    # p/n + 1/n^2 rounds to 1, so the law gate passes; 1 - p/n - 1/n^2
+    # summed in the other order read -5.55e-17 here.
+    point = (0.5, 1.2, 2.666666666666667, 3)
+    assert validate(*point).check("pmf").lhs == 1.0
+    _, dist = make_instance(*point)
+    assert dist.masses[2] == 0.0
+
+
 def test_pmf_violation_raises_with_report():
     with pytest.raises(InfeasibleInstanceError) as exc_info:
         make_instance(*REF_PARAMS, 1)

@@ -180,7 +180,7 @@ def _negate_third(derivatives):
 def test_batched_checks_raise_for_the_first_failing_point(monkeypatch):
     # The scalar and the lanes are patched alike, so the sweep raises the
     # scalar's error for the first point in grid order.
-    monkeypatch.setattr(rostop.bound, "q_derivatives", _negate_third(rostop.bound.q_derivatives))
+    monkeypatch.setattr(rostop.bound, "_q_derivatives", _negate_third(rostop.bound._q_derivatives))
     negative_third = _negate_third(rostop.bound._q_derivatives_lanes)
     monkeypatch.setattr(rostop.bound, "_q_derivatives_lanes", negative_third)
     first = r"at \(a, b, p\) = \(0\.789, 1\.24, 0\.421\): q''' is not positive"
