@@ -17,12 +17,12 @@ Contents:
 The sandwich inequalities are asymptotic statements, so the diagnostics
 never hard-fail: each check reports its worst margin over the examined
 index range and a pass flag.  The lower bound's tail sums come from one
-cumulative-sum path, exact to a few ulps at every length; they are built in
-order of length and read in step order through a reversed view, and each
-bound turns into its margins in place, in its own array.  The lower bound
-is an exact identity for the recursion on ``k >= j_n`` and the upper
-bound's true margin at ``k = n-1`` is ``a/(2n^2)``, so at large sizes both
-margins sit at the rounding floor of the n-step recursion that built
+cumulative-sum path, exact to a few ulps at every length.  Both bounds walk
+``k`` in tiles of ``dp._TILE`` steps and turn into their margins in place,
+in scratch of a few tiles, and each worst margin is a running minimum.  The
+lower bound is an exact identity for the recursion on ``k >= j_n`` and the
+upper bound's true margin at ``k = n-1`` is ``a/(2n^2)``, so at large sizes
+both margins sit at the rounding floor of the n-step recursion that built
 ``phibar``; the sign test therefore allows ``SIGN_TOLERANCE`` of float
 noise.
 """
@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import dp
 from .dp import AcceptanceTimes, ConsistencyError, ThresholdTables, _require_matching_tables
 from .instance import InstanceParams, InfeasibleInstanceError, ParameterError, validate
 
@@ -285,7 +286,7 @@ def k_star(a: float, b: float, p: float, n: int) -> int:
     return math.ceil(n * (1.0 - (2.0 - p) * (b - a)) / (1.0 + p * (b - a)))
 
 
-def _lower_bound_tail_sums(eps: float, max_length: int) -> np.ndarray:
+def _lower_bound_tail_sums(eps: float, max_length: int, ramp: np.ndarray):
     """S(L) = sum_{j=0}^{L-1} ((L-j)/(L+1)) * (1-eps)^j for L = 1..max_length, in order.
 
     One path for every length: ``sum_j (L-j) q^j`` is the sum over
@@ -293,18 +294,33 @@ def _lower_bound_tail_sums(eps: float, max_length: int) -> np.ndarray:
     cumulative sum of ``q^j = exp(j * log1p(-eps))`` gives every ``S(L)``
     from positive terms only, with no cancellation at any ``L * eps``.  A
     law without a zero atom (``eps = 1``) has ``q^j = 0`` for ``j > 0``, so
-    ``S(L) = L/(L+1)``.
+    ``S(L) = L/(L+1)``.  Given ``ramp = 0, 1, ..., t - 1`` as floats, yields
+    the values ``t`` lengths at a time, as views of one scratch array that
+    the next tile overwrites; each cumulative sum carries into the next
+    tile as its running sum added to the tile's first term.
     """
-    s = np.arange(float(max_length))
-    if eps < 1.0:
-        s *= math.log1p(-eps)
-        np.exp(s, out=s)
-    else:
-        s = (s == 0.0).astype(float)
-    np.cumsum(s, out=s)
-    np.cumsum(s, out=s)  # s[L-1] = sum_{j<L} (L-j) q^j
-    s /= np.arange(2.0, max_length + 2.0)
-    return s
+    tile = ramp.size
+    s, d = np.empty(tile), np.empty(tile)
+    for start in range(0, max_length, tile):
+        m = min(tile, max_length - start)
+        t, j = s[:m], ramp[:m]
+        if start:
+            j = np.add(j, start, out=d[:m])
+        if eps < 1.0:
+            np.multiply(j, math.log1p(-eps), out=t)
+            np.exp(t, out=t)
+        else:
+            np.equal(j, 0.0, out=t)
+        if start:
+            t[0] += c1
+        np.cumsum(t, out=t)
+        c1 = t.item(-1)
+        if start:
+            t[0] += c2
+        np.cumsum(t, out=t)  # t[L-1-start] = sum_{j<L} (L-j) q^j
+        c2 = t.item(-1)
+        t /= np.add(ramp[:m], start + 2.0, out=d[:m])
+        yield t
 
 
 def verify_bound_sandwich(
@@ -341,25 +357,33 @@ def verify_bound_sandwich(
     eps = w_mid + w_top
     coeff = (1.0 + (b - a) * p) / n - a / (n * n)
 
+    phibar = tables.phibar
+    ramp = np.arange(float(min(dp._TILE, n)))  # scratch for walks of ramp.size steps
     k_lo = max(1, times.k_n - 1)
-    lower = _lower_bound_tail_sums(eps, n - k_lo)[::-1]  # S(n - k) for k = k_lo .. n-1
-    lower *= coeff
-    lower += a
-    np.subtract(tables.phibar[k_lo:n], lower, out=lower)
-    lower_margin = float(np.min(lower, initial=math.inf))
+    lower_margin, hi = math.inf, n  # S(n - k) for k = hi - 1, hi - 2, ...
+    for lower in _lower_bound_tail_sums(eps, n - k_lo, ramp):
+        lower *= coeff
+        lower += a
+        lo = hi - lower.size
+        np.subtract(phibar[lo:hi][::-1], lower, out=lower)
+        lower_margin = float(np.min(lower, initial=lower_margin))
+        hi = lo
     checks.append(
         DiagnosticCheck(
             "lower_bound", k_lo, n - 1, lower_margin, lower_margin >= -SIGN_TOLERANCE
         )
     )
 
-    upper = np.arange(float(n - times.j_n), 0.0, -1.0)  # n - k for k = j_n .. n-1
-    upper /= 2.0
-    upper *= 1.0 + (b - a) * p
-    upper /= n
-    upper += a
-    upper -= tables.phibar[times.j_n : n]
-    upper_margin = float(np.min(upper, initial=math.inf))
+    scratch, upper_margin = np.empty(ramp.size), math.inf
+    for lo in range(times.j_n, n, ramp.size):
+        hi = min(n, lo + ramp.size)
+        upper = np.subtract(n - lo, ramp[:hi - lo], out=scratch[:hi - lo])  # n - k on [lo, hi)
+        upper /= 2.0
+        upper *= 1.0 + (b - a) * p
+        upper /= n
+        upper += a
+        upper -= phibar[lo:hi]
+        upper_margin = float(np.min(upper, initial=upper_margin))
     checks.append(
         DiagnosticCheck(
             "upper_bound", times.j_n, n - 1, upper_margin, upper_margin >= -SIGN_TOLERANCE

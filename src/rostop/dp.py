@@ -18,12 +18,11 @@ terms of the value distribution.  Each step is affine in the next entry,
 with coefficients fixed by whether that entry is below ``b``; each table
 crosses ``b`` once, so the pass splits into two constant-regime segments
 per table, each evaluated in closed form with numpy (a geometric sum for
-``phi``, one discounted cumulative sum for ``phibar``) in O(n) time and
-memory; a discounted sum runs in blocks short enough that its discount
-stays finite (one block below ``p`` of about 600).  The pass holds four
-float arrays of about ``n`` entries, the two tables, the step counts
-``n + 1 - k`` and one scratch array, and every operation writes into one
-of them in place.  It takes every real law
+``phi``, one discounted cumulative sum for ``phibar``) in O(n) time; a
+discounted sum runs in blocks short enough that its discount stays finite
+(one block below ``p`` of about 600).  The pass walks ``k`` down in tiles
+of ``_TILE`` steps, so it allocates the two tables and scratch of a few
+tiles, and each low regime stops at its switch.  It takes every real law
 (:func:`~rostop.instance.require_law`) and raises on other inputs.  The
 pass runs down to ``k = 0``: ``phibar[0]``, the future reward before the
 first arrival, is the optimal rule's expected reward.  Tables are built up
@@ -47,6 +46,7 @@ Values outside ``%g``'s fixed notation, and short curves, go through ``%``.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -76,6 +76,12 @@ MAX_TABLE_N = 10**8
 # The discounted sums weight step i of a block by (1 - rate)^-i; a block
 # ends before this log-weight, so the weighted sums stay finite.
 _MAX_LOG_DISCOUNT = 600.0
+
+# The backward pass, the crossing scans and the sandwich walk k in tiles of
+# at most this many steps, so their scratch stays in cache and does not grow
+# with n.  At n = 10^6, 2^14 and 2^15 are fastest; 2^12 and 2^17 take
+# 15-30% longer (2-vCPU x86-64 VM, 2 MiB L2 per core, numpy 2.4).
+_TILE = 1 << 14
 
 
 class ConsistencyError(RuntimeError):
@@ -148,16 +154,15 @@ def _require_table_size(n: int) -> None:
         )
 
 
-def _geometric(x0, eps, terms, expm1):
+def _geometric(x0, eps, terms, out=None):
     # x0 * sum_{i < terms} (1 - eps)^i for a number of terms, or elementwise
-    # over a float array of terms, which is overwritten when ``expm1`` writes
-    # in place.  x0 * -e is computed as e * -x0, the same float.  At eps = 1
-    # the log is -inf and every sum is x0.
-    terms *= np.log1p(-eps) if eps < 1.0 else -math.inf
-    terms = expm1(terms)
-    terms *= -x0
-    terms /= eps
-    return terms
+    # over a float array of terms into ``out``.  x0 * -e is computed as
+    # e * -x0, the same float.  At eps = 1 the log is -inf and every sum is x0.
+    t = np.multiply(terms, np.log1p(-eps) if eps < 1.0 else -math.inf, out=out)
+    t = np.expm1(t, out=out)
+    t *= -x0
+    t /= eps
+    return t
 
 
 def _first(flags: np.ndarray) -> int:
@@ -166,33 +171,22 @@ def _first(flags: np.ndarray) -> int:
     return i if flags[i] else flags.size
 
 
-def _discounted_sums(
-    g0: float, rate: float, steps: np.ndarray, w: np.ndarray, out: np.ndarray
-) -> None:
-    # G_i = beta^i * (g0 + sum_{l <= i} beta^-l * u_l) for beta = 1 - rate:
-    # the recursion G_i = u_i + beta * G_{i-1} as one cumulative sum, run
-    # backwards because entry j belongs to step i = steps[j], which descends
-    # to 1.  ``out`` holds u on entry and G on return; ``w`` is scratch.  On
-    # a real law every term is positive, so the sum does not cancel.  Blocks
-    # of at most ``size`` steps keep beta^-l finite: each restarts from the
-    # last G before it and counts steps from its start, so every block's
-    # weights are the tail of the first block's.
+def _steps(down: np.ndarray, c: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    # c - k for k in [lo, hi), as floats: a view of ``down`` (m, ..., 1, 0)
+    # where it holds them, else written into ``out``.
+    m = down.size - 1
+    if c - lo <= m:
+        return down[m - c + lo:m - c + hi]
+    return np.add(down[m - hi + lo:m], c - hi, out=out[:hi - lo])
+
+
+def _blocks(rate: float) -> tuple[float, float]:
+    # -log(beta) for beta = 1 - rate, and the most steps a block of the
+    # discounted sum takes so that its weights beta^-i stay finite.
     if rate == 1.0:
-        return  # beta = 0: G_i = u_i
+        return math.inf, math.inf  # beta = 0: G_i = u_i, no weights
     log_discount = -math.log1p(-rate)
-    size = int(_MAX_LOG_DISCOUNT / log_discount)  # at least 16, as rate <= 1 - 2^-53
-    w = w[-size:]
-    np.multiply(steps[-size:], log_discount, out=w)
-    np.exp(w, out=w)
-    g = g0
-    for stop in range(out.size, 0, -size):
-        block = out[max(0, stop - size):stop]
-        weights = w[w.size - block.size:]
-        block *= weights
-        np.cumsum(block[::-1], out=block[::-1])
-        block += g
-        block /= weights
-        g = block.item(0)
+    return log_discount, int(_MAX_LOG_DISCOUNT / log_discount)  # at least 16, as rate <= 1 - 2^-53
 
 
 def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
@@ -206,11 +200,20 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
     affine in ``g``, ``g[k] = (a v phi[k+1]) + (n-k) * c + beta * g[k+1]``,
     with ``(c, beta)`` equal to ``(x0, 1 - eps)`` while ``phibar[k+1] < b``
     and ``(top, 1 - w_top)`` after, so each segment is one discounted
-    cumulative sum (in blocks, see :func:`_discounted_sums`).  The regime
-    switches are read off the computed values with the recursion's own
-    comparison (``b > x`` is the low regime).  Takes a real law, where both
-    rates lie in (0, 1]; raises :class:`ConsistencyError` if a regime flag
-    flips back after its switch, which the closed form cannot represent.
+    cumulative sum, ``G_i = beta^i * (g0 + sum_{l <= i} beta^-l * u_l)``.
+    On a real law every term is positive, so the sum does not cancel.  Its
+    blocks keep ``beta^-l`` finite: each restarts from the last ``G`` before
+    it and counts steps from its start.
+
+    ``k`` runs down in tiles that never straddle a block; each tile writes
+    ``phi``, then ``phibar``, and a cumulative sum carries into the next
+    tile as the running sum added to that tile's first term, so every
+    float is the same operation on the same operands as over whole arrays.
+    The regime switches are read off the computed values with the
+    recursion's own comparison (``b > x`` is the low regime).  Takes a real
+    law, where both rates lie in (0, 1] and ``a < b``; raises
+    :class:`ConsistencyError` if a regime flag flips back after its switch,
+    which the closed form cannot represent.
     """
     n = inst.n
     a, b = inst.a, inst.b
@@ -219,36 +222,71 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
     eps = w_mid + w_top
     x0 = law.mean
     top = w_top * n
-    rem = np.arange(n + 1.0, 0.0, -1.0)
-    w = np.empty(n)
+    log_top = math.log1p(-w_top)
+    m = min(n, _TILE) + 1
+    down = np.arange(float(m), -1.0, -1.0)
+    g_buf, r_buf = np.empty(m), np.empty(m)
+    phi = np.empty(n + 1)
+    phibar = np.empty(n + 1)
+    phibar[n] = a  # below b, as a < 1 < b: the low regime
 
-    phi = _geometric(x0, eps, rem.copy(), lambda z: np.expm1(z, out=z))
-    phi[n] = x0
-    s1 = n - _first(~(b > phi[:0:-1]))  # phi[k] < b for every k > s1
-    x_star = phi[s1]
-    head = phi[:s1]  # empty when s1 = 0, and every step below is then a no-op
-    np.multiply(rem[n + 1 - s1:], math.log1p(-w_top), out=head)
-    np.expm1(head, out=head)
-    head *= x_star - n  # (n - x_star) * -expm1, the same float
-    head += x_star
-    if (b > phi[1:s1 + 1]).any():
-        raise ConsistencyError(f"phi falls below b again after step {s1}: no closed form")
+    s1 = s2 = None  # the switches, once the walk has passed them
+    done = n + 1  # phi is final on [done, n]
+    c, (log_discount, size) = x0, _blocks(eps)
+    g, stop, carry = a, n, None  # G before the block that ends at stop, the running sum
+    hi, bad = n, False  # phibar is final on [hi, n]
+    while hi > 0:
+        lo = max(0, hi - _TILE, stop - size)
+        rem = _steps(down, n + 1, lo, hi + 1, r_buf)  # rem[k - lo]
+        if lo < done:  # phi on [lo, done), done <= hi + 1
+            if s1 is None:
+                seg = _geometric(x0, eps, rem[:done - lo], phi[lo:done])
+                if done > n:
+                    phi[n] = x0
+                i = _first(~(b > seg[::-1]))  # phi[k] < b for every k > s1; s1 = 0 is a no-op
+                if i < seg.size:
+                    s1 = done - 1 - i
+            if s1 is not None:
+                x_star = phi[s1]
+                head = phi[lo:min(done, s1)]
+                np.multiply(_steps(down, s1, lo, lo + head.size, head), log_top, out=head)
+                np.expm1(head, out=head)
+                head *= x_star - n  # (n - x_star) * -expm1, the same float
+                head += x_star
+                if (b > phi[max(lo, 1):lo + head.size]).any():
+                    raise ConsistencyError(
+                        f"phi falls below b again after step {s1}: no closed form"
+                    )
+            done = lo
 
-    phibar = np.empty(n + 1)  # g = rem * phibar until divided in place
-    np.maximum(a, phi[1:], out=phibar[:n])
-    phibar[:n] += np.multiply(rem[1:], x0, out=w)
-    _discounted_sums(a, eps, rem[1:], w, phibar[:n])
-    phibar[n] = a
-    np.divide(phibar[1:], rem[1:], out=w)  # phibar[1:], read before g is divided in place
-    s2 = n - _first(~(b > w[::-1]))  # phibar[k] < b for every k > s2
-    g0 = phibar[s2]
-    phibar /= rem
-    head = phibar[:s2]
-    np.maximum(a, phi[1:s2 + 1], out=head)
-    head += np.multiply(rem[1:s2 + 1], top, out=w[:s2])
-    _discounted_sums(g0, w_top, rem[n + 1 - s2:], w[:s2], head)
-    head /= rem[:s2]
-    if (b > phibar[1:s2 + 1]).any():
+        u = g_buf[:hi - lo]  # u, then G, on [lo, hi)
+        w = phibar[lo:hi]  # scratch until phibar is written there
+        np.maximum(a, phi[lo + 1:hi + 1], out=u)
+        u += np.multiply(rem[1:], c, out=w)
+        if size < math.inf:
+            np.multiply(_steps(down, stop, lo, hi, w), log_discount, out=w)
+            np.exp(w, out=w)
+            u *= w
+            if carry is not None:
+                u[-1] += carry
+            np.cumsum(u[::-1], out=u[::-1])
+            carry = u.item(0)
+            u += g
+            u /= w
+            if lo == stop - size:  # the block ends: the next restarts from its last G
+                g, stop, carry = u.item(0), lo, None
+        tile = np.divide(u, rem[:-1], out=w)
+        if s2 is None:
+            i = _first(~(b > tile[::-1]))  # phibar[k] < b for every k > s2; s2 = 0 is a no-op
+            if i < tile.size:
+                s2 = hi - 1 - i
+                c, (log_discount, size) = top, _blocks(w_top)
+                g, stop, carry, hi = u.item(s2 - lo), s2, None, s2
+                continue
+        elif (b > phibar[max(lo, 1):hi]).any():
+            bad = True  # raised after phi's checks, which come first
+        hi = lo
+    if bad:
         raise ConsistencyError(f"phibar falls below b again after step {s2}: no closed form")
     return phi, phibar
 
@@ -260,8 +298,16 @@ def _require_matching_tables(inst: InstanceParams, tables: ThresholdTables) -> N
 
 
 def _first_crossing(table: np.ndarray, value: float) -> int:
-    # min{k in [1, n]: value >= table[k]}, or n+1 when the set is empty.
-    return 1 + _first(table[1:] <= value)
+    # min{k in [1, n]: value >= table[k]}, or n+1 when the set is empty,
+    # scanned a tile at a time from k = 1 up to the first tile that holds it.
+    lo = 1
+    while lo < table.size:
+        flags = table[lo:lo + _TILE] <= value
+        i = flags.argmax()
+        if flags[i]:
+            return lo + int(i)
+        lo += _TILE
+    return table.size
 
 
 def _sorted_crossing(table: np.ndarray, value: float) -> int:
@@ -318,7 +364,7 @@ def phi_closed_form(inst: InstanceParams, i: int) -> float:
     if i == n:
         return law.mean  # single-term sum, exact
     w_top, w_mid, _ = law.masses
-    return float(_geometric(law.mean, w_mid + w_top, n - i + 1, np.expm1))
+    return float(_geometric(law.mean, w_mid + w_top, n - i + 1))
 
 
 def gambler_prophet_ratio(inst: InstanceParams, tables: ThresholdTables) -> float:
@@ -386,12 +432,14 @@ def write_threshold_csv(tables: ThresholdTables, stride: int, out: IO[str]) -> N
         out.write(_csv_block(chunks, *_curve_columns(tables, stride, start, stop)))
 
 
+@functools.cache
 def _chunk_words() -> np.ndarray:
     # Word 9c + variant: the ASCII of the three-digit chunk c, NUL-padded to
     # four bytes.  Variants 0-3 are the digits with a point after none, one,
     # two or all three of them; variants 4-7 the same with trailing zeros
     # dropped (a row whose digits after the point are all zero is formatted
     # with ``%`` instead); variant 8 the digits with leading zeros dropped.
+    # Built once per process, and read-only.
     c = np.arange(1000)[:, None]
     digits = c // [100, 10, 1] % 10 + ord("0")
     chars = np.concatenate([
@@ -403,7 +451,9 @@ def _chunk_words() -> np.ndarray:
     point, nul = 9, 10
     layout = [[0, 1, 2, nul], [0, point, 1, 2], [0, 1, point, 2], [0, 1, 2, point]]
     layout += [[i + 3 if i < 3 else i for i in word] for word in layout] + [[6, 7, 8, nul]]
-    return chars[:, layout].reshape(-1).view(np.uint32)
+    words = chars[:, layout].reshape(-1).view(np.uint32)
+    words.flags.writeable = False
+    return words
 
 
 def _csv_block(

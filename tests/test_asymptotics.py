@@ -23,9 +23,8 @@ from rostop import (
     validate,
     verify_bound_sandwich,
 )
-from rostop.asymptotics import _lower_bound_tail_sums
 
-from conftest import PERTURBED, REF_PARAMS
+from conftest import PERTURBED, REF_PARAMS, tail_sums
 
 NU_STAR_12_DIGITS = 0.211231196923
 
@@ -273,7 +272,7 @@ def test_tail_sums_match_naive():
     eps = p / n + 1.0 / (n * n)
     q = 1.0 - eps
     lengths = np.array([1, 2, 3, 50, 511, 512, 513, 700, 1999])
-    got = _lower_bound_tail_sums(eps, 1999)[lengths - 1]
+    got = tail_sums(eps, 1999)[lengths - 1]
     for length, value in zip(lengths, got):
         naive = sum(
             (length - j) / (length + 1.0) * q**j for j in range(int(length))
@@ -284,7 +283,7 @@ def test_tail_sums_match_naive():
 def test_tail_sums_without_a_zero_atom():
     # eps = 1: (1 - eps)^j is 1 at j = 0 and 0 after, so S(L) = L/(L+1)
     lengths = np.arange(1.0, 9.0)
-    assert np.array_equal(_lower_bound_tail_sums(1.0, 8), lengths / (lengths + 1.0))
+    assert np.array_equal(tail_sums(1.0, 8), lengths / (lengths + 1.0))
 
 
 def test_sandwich_passes_at_n_1e4(ref_dp):

@@ -2,13 +2,14 @@
 
 ``dp._closed_form_tables``, ``verify_bound_sandwich`` and
 ``write_threshold_csv`` write their large arrays in place, through reversed
-views and reused buffers.  The references below are the same arithmetic
-written the plain way, one fresh array per operation and the tables built
-in ``m = n - k`` order and reversed at the end.  Each ufunc applies the
-same operation to the same operands in both, and the cumulative sums run
-in the same order, so the outputs must agree bit for bit.  The references
-run on the same host as the code under test, so the comparison holds on
-any CPU, whichever SIMD path numpy takes there for ``exp`` and ``expm1``.
+views and reused buffers, and the first two walk the steps in tiles.  The
+references below are the same arithmetic written the plain way, one fresh
+array per operation and the tables built in ``m = n - k`` order and
+reversed at the end.  Each ufunc applies the same operation to the same
+operands in both, and the cumulative sums run in the same order, so the
+outputs must agree bit for bit.  The references run on the same host as
+the code under test, so the comparison holds on any CPU, whichever SIMD
+path numpy takes there for ``exp`` and ``expm1``.
 """
 
 import io
@@ -18,8 +19,10 @@ import random
 import numpy as np
 import pytest
 
+import rostop.dp as dp_module
 from rostop import (
     DiagnosticCheck,
+    InstanceParams,
     SweepSpec,
     acceptance_times,
     compute_thresholds,
@@ -32,7 +35,7 @@ from rostop import (
 from rostop.asymptotics import SIGN_TOLERANCE
 from rostop.sweep import _grid
 
-from conftest import PERTURBED, REF_PARAMS
+from conftest import MULTI_BLOCK, PERTURBED, REF_PARAMS
 
 SIZES = [*range(2, 65), 10**3, 10**5, 10**6]
 
@@ -55,14 +58,25 @@ def _reference_tables(inst):
         return i if flags[i] else flags.size
 
     def discounted_sums(g0, rate, u):
-        w = np.arange(1.0, u.size + 1.0)
-        w *= -math.log1p(-rate)
-        np.exp(w, out=w)
-        s = u * w
-        np.cumsum(s, out=s)
-        s += g0
-        s /= w
-        return s
+        # blocks of int(600 / log discount) steps, each restarting from the
+        # last G before it; at rate 1, G = u
+        if rate == 1.0:
+            return u.copy()
+        log_discount = -math.log1p(-rate)
+        size = int(dp_module._MAX_LOG_DISCOUNT / log_discount)
+        g, parts = g0, []
+        for start in range(0, u.size, size):
+            block = u[start:start + size]
+            w = np.arange(1.0, block.size + 1.0)
+            w *= log_discount
+            np.exp(w, out=w)
+            s = block * w
+            np.cumsum(s, out=s)
+            s += g
+            s /= w
+            g = s[-1]
+            parts.append(s)
+        return np.concatenate(parts)
 
     n = inst.n
     a, b, p = inst.a, inst.b, inst.p
@@ -92,6 +106,17 @@ def _reference_tables(inst):
         phibar[m2 + 1:] = g[m2 + 1:] / rem[m2 + 1:]
         assert not (b > phibar[m2:n]).any()
     return phi[::-1].copy(), phibar[::-1].copy()
+
+
+def _reference_times(inst, tables):
+    def crossing(table, value):
+        flags = table[1:] <= value
+        i = int(flags.argmax())
+        return 1 + (i if flags[i] else flags.size)
+
+    return (
+        crossing(tables.phi, inst.b), crossing(tables.phibar, inst.b), crossing(tables.phi, inst.a)
+    )
 
 
 def _reference_bound_checks(inst, tables, times):
@@ -156,6 +181,54 @@ def test_in_place_outputs_equal_reference_arithmetic(point):
         # stride 7 and 997 leave a remainder, so the final row n is appended
         for stride in (1, 7) if n <= 10**3 else (997, 1000):
             assert _csv(tables, stride) == _reference_csv(tables, stride), (n, stride)
+
+
+def _assert_equal_reference(inst):
+    phi, phibar = _reference_tables(inst)
+    tables = compute_thresholds(inst)
+    assert np.array_equal(tables.phi[1:], phi[1:]), inst
+    assert np.array_equal(tables.phibar, phibar), inst
+    times = acceptance_times(tables, inst)
+    assert (times.k_n, times.kbar_n, times.j_n) == _reference_times(inst, tables), inst
+    report = verify_bound_sandwich(inst, tables, times)
+    assert report.checks[:2] == _reference_bound_checks(inst, tables, times), inst
+
+
+@pytest.mark.parametrize("tile", [7, 64])
+@pytest.mark.parametrize("point", POINTS)
+def test_tiles_equal_reference_arithmetic(point, tile, monkeypatch):
+    # The pass, the crossings and the sandwich walk k in tiles; cumulative
+    # sums carry across tile edges, which short tiles put everywhere.
+    monkeypatch.setattr(dp_module, "_TILE", tile)
+    for n in [*range(2, 65), 10**3]:
+        _assert_equal_reference(make_instance(*point, n)[0])
+
+
+# Laws whose discounted sums run in blocks: the zero atom's mass is below
+# e^-600/n, (0.5, 1.001, 700) would need the discount e^713 over all n
+# steps, and p = n(1 - 1e-15) - 1/n leaves blocks of 17 steps.
+BLOCKED = [
+    *MULTI_BLOCK, (0.5, 1.001, 700.0, 2 * 10**4), (0.5, 1.2, 10**4 * (1 - 1e-15) - 1e-4, 10**4)
+]
+
+
+@pytest.mark.parametrize("tile", [7, 64, dp_module._TILE])
+@pytest.mark.parametrize("params", BLOCKED)
+def test_blocked_sums_equal_reference_arithmetic(params, tile, monkeypatch):
+    monkeypatch.setattr(dp_module, "_TILE", tile)
+    _assert_equal_reference(make_instance(*params)[0])
+
+
+@pytest.mark.parametrize("tile", [7, dp_module._TILE])
+def test_every_block_equals_reference_arithmetic(tile, monkeypatch):
+    # A formal law with b above n keeps both tables below b, so the low
+    # regime's sum runs through all of its 3 and 12 blocks.
+    monkeypatch.setattr(dp_module, "_TILE", tile)
+    for params in [(0.5, 4e4, 1400 - 1 / 4000, 4000), (0.5, 2e3, 200 * (1 - 1e-15) - 1 / 200, 200)]:
+        inst = InstanceParams(*params)
+        phi, phibar = _reference_tables(inst)
+        tables = dp_module._closed_form_tables(inst)
+        assert np.array_equal(tables[0][1:], phi[1:]) and np.array_equal(tables[1], phibar), params
 
 
 def test_full_curves_csv_at_n_1e5_equals_reference():

@@ -31,7 +31,7 @@ from rostop import (
 )
 from rostop.instance import require_law
 
-from conftest import PERTURBED, REF_PARAMS
+from conftest import MULTI_BLOCK, PERTURBED, REF_PARAMS
 from test_bit_identity import _csv, _reference_csv
 
 
@@ -456,14 +456,9 @@ def _discount_log(inst):
     return inst.n * -math.log1p(-(w_mid + w_top))
 
 
-# Real laws at n <= 64 whose discounted sums take two or more blocks: the
-# zero atom's mass is below e^-600/n.
-_MULTI_BLOCK = [(0.5, 1.2, 63.98, 64), (0.789, 1.24, 63.984, 64), (0.9, 1.05, 47.9791, 48)]
-
-
 _SMALL_N = [
     *((point, range(2, 65)) for point in (REF_PARAMS, *PERTURBED)),
-    *((params[:3], [params[3]]) for params in _MULTI_BLOCK),
+    *((params[:3], [params[3]]) for params in MULTI_BLOCK),
 ]
 
 
@@ -482,24 +477,23 @@ def test_closed_form_matches_scalar_loop_at_small_n(point, sizes):
 
 @pytest.mark.parametrize("rate, size", [(0.35, 4000), (1.0 - 1e-15, 200), (1.0, 50)])
 def test_discounted_sums_in_blocks_follow_the_recursion(rate, size):
-    # G_i = u_i + (1 - rate) * G_{i-1} from G_0 = g0, with entry j at step
-    # size - j.  The first two rates take 3 and 12 blocks (of 1392 and 17
-    # steps); on the tables, the blocks after the first are overwritten by
-    # the high regime at every law tried, so they are checked here.
-    rng = np.random.default_rng(22)
-    u = rng.uniform(0.5, 2.0, size)
-    out = u.copy()
-    steps = np.arange(float(size), 0.0, -1.0)
-    dp_module._discounted_sums(0.7, rate, steps, np.empty(size), out)
-    g, expected = 0.7, np.empty(size)
-    for j in range(size - 1, -1, -1):
-        g = u[j] + (1.0 - rate) * g
-        expected[j] = g
-    np.testing.assert_allclose(out, expected, rtol=1e-13, atol=0.0)
+    # A formal law with b above n and eps about ``rate`` keeps both tables
+    # below b, in their low regime, so phibar's discounted sum runs through
+    # every block: 3 and 12 of them (of 1392 and 17 steps) for the first two
+    # rates; at rate 1 there are no weights.  On real laws phibar reaches b
+    # inside the first block, so the later blocks are checked here.
+    inst = InstanceParams(0.5, 10.0 * size, rate * size - 1.0 / size, size)
+    phi, phibar = dp_module._closed_form_tables(inst)
+    assert np.all(phi[1:] < inst.b) and np.all(phibar[1:] < inst.b)
+    if rate < 1.0:
+        assert _discount_log(inst) > (2 if rate < 0.5 else 11) * dp_module._MAX_LOG_DISCOUNT
+    loop = _backward_loop(inst)
+    np.testing.assert_allclose(phi[1:], loop[0][1:], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(phibar, loop[1], rtol=1e-13, atol=0.0)
 
 
 def test_multi_block_points_need_more_than_one_block():
-    for params in _MULTI_BLOCK:
+    for params in MULTI_BLOCK:
         assert _discount_log(InstanceParams(*params)) > dp_module._MAX_LOG_DISCOUNT, params
 
 
@@ -535,21 +529,36 @@ def test_unreal_laws_raise_the_law_gate_error(params, error):
             fn(inst)
 
 
-def test_large_p_law_builds_in_bounded_memory():
-    # p = 700 would need the discount (1 - eps)^-n = e^713 over all n steps,
-    # so the pass runs in blocks; it still holds only its four arrays of 8
-    # bytes a step.
-    n = 2 * 10**4
-    inst, _ = make_instance(0.5, 1.001, 700.0, n)
-    assert _discount_log(inst) > dp_module._MAX_LOG_DISCOUNT
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        tables = compute_thresholds(inst)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * n, peak / n
+
+
+def _peaks_beyond_tables(point, n):
+    # tracemalloc peaks of the pass beyond the two tables it returns, and of
+    # the sandwich, which allocates no table.
+    inst, _ = make_instance(*point, n)
+    tables, build = _traced_peak(compute_thresholds, inst)
     assert np.all(np.isfinite(tables.phibar))
+    times = acceptance_times(tables, inst)
+    _, sandwich = _traced_peak(verify_bound_sandwich, inst, tables, times)
+    return build - tables.phi.nbytes - tables.phibar.nbytes, sandwich
+
+
+def test_large_p_law_builds_in_bounded_memory():
+    # The pass holds the two tables and O(_TILE) scratch, the sandwich only
+    # scratch: neither needs more beyond the tables at n = 2^20 than at
+    # 2^17, at the reference point or at p = 700, whose discount over all n
+    # steps would be e^713, so that its sums run in blocks.
+    assert _discount_log(make_instance(0.5, 1.001, 700.0, 2**17)[0]) > dp_module._MAX_LOG_DISCOUNT
+    for point in (REF_PARAMS, (0.5, 1.001, 700.0)):
+        small, large = _peaks_beyond_tables(point, 2**17), _peaks_beyond_tables(point, 2**20)
+        for s, l in zip(small, large):
+            assert abs(l - s) <= 0.1 * s, (point, small, large)
 
 
 def test_family_minimum_through_make_instance():

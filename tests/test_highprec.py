@@ -18,9 +18,8 @@ from rostop import (
     phi_closed_form,
     prophet_exact,
 )
-from rostop.asymptotics import _lower_bound_tail_sums
 
-from conftest import PERTURBED, REF_PARAMS
+from conftest import PERTURBED, REF_PARAMS, tail_sums
 
 
 def _mp_params():
@@ -126,7 +125,7 @@ def test_lower_bound_tail_sums_at_large_n():
     eps = mpf(eps_f)
     q = 1 - eps
     lengths = [1, 2, 513, 600, 5000, 10**5, n - 2252]
-    got = _lower_bound_tail_sums(eps_f, max(lengths))[np.array(lengths) - 1]
+    got = tail_sums(eps_f, max(lengths))[np.array(lengths) - 1]
     for length, value in zip(lengths, got):
         qn = q**length
         exact = (1 - qn) / eps - (1 - qn * (length * eps + 1)) / ((length + 1) * eps**2)
