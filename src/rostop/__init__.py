@@ -15,6 +15,7 @@ from .instance import (
 )
 from .dp import (
     AcceptanceTimes,
+    ConsistencyError,
     ThresholdTables,
     acceptance_times,
     compute_thresholds,
@@ -26,7 +27,6 @@ from .dp import (
 from .prophet import prophet_exact, prophet_limit
 from .asymptotics import (
     AsymptoticProfile,
-    ConsistencyError,
     DiagnosticCheck,
     DiagnosticsReport,
     OrderingError,

@@ -16,8 +16,9 @@ Contents:
 
 The sandwich inequalities are asymptotic statements, so the diagnostics
 never hard-fail: each check reports its worst margin over the examined
-index range and a pass flag.  The lower bound's tail sums come from one
-cumulative-sum path, exact to a few ulps at every length.  Both bounds walk
+index range and a pass flag.  The lower bound's tail sums are one
+cumulative sum of the geometric partial sums that ``dp`` gives ``phi`` in
+its low regime, exact to a few ulps at every length.  Both bounds walk
 ``k`` in tiles of ``dp._TILE`` steps and turn into their margins in place,
 in scratch of a few tiles, and each worst margin is a running minimum.  The
 lower bound is an exact identity for the recursion on ``k >= j_n`` and the
@@ -45,7 +46,6 @@ __all__ = [
     "DiagnosticCheck",
     "DiagnosticsReport",
     "OrderingError",
-    "ConsistencyError",
     "lambda_mu_star",
     "q_eval",
     "q_derivatives",
@@ -289,36 +289,25 @@ def k_star(a: float, b: float, p: float, n: int) -> int:
 def _lower_bound_tail_sums(eps: float, max_length: int, ramp: np.ndarray):
     """S(L) = sum_{j=0}^{L-1} ((L-j)/(L+1)) * (1-eps)^j for L = 1..max_length, in order.
 
-    One path for every length: ``sum_j (L-j) q^j`` is the sum over
-    ``r = 1..L`` of the partial geometric sums ``sum_{j<r} q^j``, so a nested
-    cumulative sum of ``q^j = exp(j * log1p(-eps))`` gives every ``S(L)``
-    from positive terms only, with no cancellation at any ``L * eps``.  A
-    law without a zero atom (``eps = 1``) has ``q^j = 0`` for ``j > 0``, so
-    ``S(L) = L/(L+1)``.  Given ``ramp = 0, 1, ..., t - 1`` as floats, yields
-    the values ``t`` lengths at a time, as views of one scratch array that
-    the next tile overwrites; each cumulative sum carries into the next
-    tile as its running sum added to the tile's first term.
+    ``sum_j (L-j) q^j`` is the sum over ``r = 1..L`` of the geometric
+    partial sums ``G(r) = sum_{j<r} q^j``, the closed form
+    :func:`~rostop.dp._geometric` gives ``phi`` in its low regime, so one
+    cumulative sum of positive terms gives every ``S(L)``, with no
+    cancellation at any ``L * eps``; at ``eps = 1`` every ``G(r)`` is 1.
+    Given ``ramp = 0, 1, ..., t - 1`` as floats, yields the values ``t``
+    lengths at a time, as views of one scratch array that the next tile
+    overwrites; the cumulative sum carries into the next tile as its
+    running sum added to the tile's first term.
     """
     tile = ramp.size
     s, d = np.empty(tile), np.empty(tile)
+    carry = 0.0
     for start in range(0, max_length, tile):
         m = min(tile, max_length - start)
-        t, j = s[:m], ramp[:m]
-        if start:
-            j = np.add(j, start, out=d[:m])
-        if eps < 1.0:
-            np.multiply(j, math.log1p(-eps), out=t)
-            np.exp(t, out=t)
-        else:
-            np.equal(j, 0.0, out=t)
-        if start:
-            t[0] += c1
-        np.cumsum(t, out=t)
-        c1 = t.item(-1)
-        if start:
-            t[0] += c2
-        np.cumsum(t, out=t)  # t[L-1-start] = sum_{j<L} (L-j) q^j
-        c2 = t.item(-1)
+        t = dp._geometric(1.0, eps, np.add(ramp[:m], start + 1.0, out=d[:m]), s[:m])
+        t[0] += carry
+        np.cumsum(t, out=t)  # t[L-1-start] = sum_{r<=L} G(r) = sum_{j<L} (L-j) q^j
+        carry = t.item(-1)
         t /= np.add(ramp[:m], start + 2.0, out=d[:m])
         yield t
 

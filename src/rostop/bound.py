@@ -41,8 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import ConsistencyError, _limits, _q, _q_derivatives, _q_terms
-from .asymptotics import lambda_mu_star, q_eval
+from .asymptotics import _limits, _q, _q_derivatives, _q_terms, lambda_mu_star, q_eval
+from .dp import ConsistencyError
 from .instance import ParameterError
 from .prophet import _limit, prophet_limit
 
@@ -109,8 +109,6 @@ class ErrorCertificate:
     qprime_sup: float
     q_error_bound: float
     grid_points: int  # points where q' is evaluated: always the bracket's two ends
-    qprime_convex: bool  # always True: certify raises when convexity is not proved
-    trivially_exact: bool  # always False: the maximiser is never a closed-form endpoint
 
 
 def _bisect(
@@ -277,8 +275,6 @@ def certify(bound: HardnessBound) -> ErrorCertificate:
         qprime_sup=sup,
         q_error_bound=sup * e,
         grid_points=2,
-        qprime_convex=True,
-        trivially_exact=False,
     )
 
 

@@ -21,11 +21,11 @@ import json
 import sys
 from pathlib import Path
 
-from .asymptotics import ConsistencyError
 from .bound import (
     DEFAULT_RTOL, DEFAULT_XTOL, CertificationError, MaxIterationsError, certify, hardness_bound
 )
 from .dp import (
+    ConsistencyError,
     acceptance_times,
     compute_thresholds,
     optimal_value,
@@ -212,11 +212,7 @@ def _cmd_bound(args) -> int:
             f"nu_error_bound = {hb.nu_error_bound:.3g}  "
             f"q_error_bound = {hb.q_error_bound:.3g}  iterations = {hb.iterations}"
         )
-        print(
-            f"certificate: sup|q'| = {cert.qprime_sup:.3g} (< 1), "
-            f"q' convex = {cert.qprime_convex}, "
-            f"trivially exact = {cert.trivially_exact}"
-        )
+        print(f"certificate: sup|q'| = {cert.qprime_sup:.3g} (< 1)")
     return 0
 
 

@@ -45,7 +45,6 @@ Values outside ``%g``'s fixed notation, and short curves, go through ``%``.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import numbers
@@ -234,7 +233,7 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
     done = n + 1  # phi is final on [done, n]
     c, (log_discount, size) = x0, _blocks(eps)
     g, stop, carry = a, n, None  # G before the block that ends at stop, the running sum
-    hi, bad = n, False  # phibar is final on [hi, n]
+    hi = n  # phibar is final on [hi, n]
     while hi > 0:
         lo = max(0, hi - _TILE, stop - size)
         rem = _steps(down, n + 1, lo, hi + 1, r_buf)  # rem[k - lo]
@@ -284,10 +283,8 @@ def _closed_form_tables(inst: InstanceParams) -> tuple[np.ndarray, np.ndarray]:
                 g, stop, carry, hi = u.item(s2 - lo), s2, None, s2
                 continue
         elif (b > phibar[max(lo, 1):hi]).any():
-            bad = True  # raised after phi's checks, which come first
+            raise ConsistencyError(f"phibar falls below b again after step {s2}: no closed form")
         hi = lo
-    if bad:
-        raise ConsistencyError(f"phibar falls below b again after step {s2}: no closed form")
     return phi, phibar
 
 
@@ -303,18 +300,11 @@ def _first_crossing(table: np.ndarray, value: float) -> int:
     lo = 1
     while lo < table.size:
         flags = table[lo:lo + _TILE] <= value
-        i = flags.argmax()
-        if flags[i]:
-            return lo + int(i)
+        i = _first(flags)
+        if i < flags.size:
+            return lo + i
         lo += _TILE
     return table.size
-
-
-def _sorted_crossing(table: np.ndarray, value: float) -> int:
-    # _first_crossing by bisection, for a table nonincreasing on [1, n]: there
-    # {k: value >= table[k]} is a suffix of [1, n].
-    steps = range(1, table.size)
-    return 1 + bisect.bisect_left(steps, True, key=lambda k: value >= table.item(k))
 
 
 def acceptance_times(tables: ThresholdTables, inst: InstanceParams) -> AcceptanceTimes:

@@ -43,8 +43,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .asymptotics import ConsistencyError
-from .dp import ThresholdTables, _require_matching_tables, _sorted_crossing
+from .dp import ConsistencyError, ThresholdTables, _first_crossing, _require_matching_tables
 from .instance import InstanceParams, ParameterError, _integer, require_law
 
 __all__ = [
@@ -372,9 +371,9 @@ def simulate_policy(
     # First step from which each support value is accepted, before/after the
     # constant's slot; the tables are monotone, so "value >= table[k]" is
     # exactly "k >= first crossing", and b's accepted slots lie inside n's.
-    acc_top = _sorted_crossing(tables.phibar, n), _sorted_crossing(tables.phi, n)
-    acc_b = _sorted_crossing(tables.phibar, b), _sorted_crossing(tables.phi, b)
-    acc_a = _sorted_crossing(tables.phi, a)
+    acc_top = _first_crossing(tables.phibar, n), _first_crossing(tables.phi, n)
+    acc_b = _first_crossing(tables.phibar, b), _first_crossing(tables.phi, b)
+    acc_a = _first_crossing(tables.phi, a)
 
     def draw(rng: np.random.Generator, pos_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = _first_success(rng, pos_a, w_top, *acc_top)

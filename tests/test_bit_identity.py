@@ -131,8 +131,7 @@ def _reference_bound_checks(inst, tables, times):
     lower_margin = math.inf
     if k_lo <= n - 1:
         lengths = np.arange(n - k_lo, 0, -1)
-        qpow = np.exp(np.arange(int(lengths.max())) * math.log1p(-eps))
-        nested = np.cumsum(np.cumsum(qpow))
+        nested = np.cumsum(-np.expm1(np.arange(1.0, lengths.max() + 1.0) * np.log1p(-eps)) / eps)
         lower = a + coeff * (nested[lengths - 1] / (lengths + 1.0))
         lower_margin = float(np.min(tables.phibar[k_lo:n] - lower))
 

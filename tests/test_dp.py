@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import rostop.dp as dp_module
 from rostop import (
+    ConsistencyError,
     InfeasibleInstanceError,
     InstanceParams,
     ParameterError,
@@ -378,18 +379,6 @@ def test_curves_need_n_plus_one_entries(n, entries):
         ThresholdTables(n=n, phi=values, phibar=values)
 
 
-def test_sorted_crossing_equals_scan_on_nonincreasing_tables():
-    # simulate_policy bisects its checked tables; acceptance_times scans.
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n = int(rng.integers(1, 40))
-        levels = np.array([np.inf, 5.0, 3.0, 2.5, 2.0, 1.0, 0.5])
-        table = np.concatenate(([np.nan], np.sort(rng.choice(levels, n))[::-1]))
-        for value in (*levels, 0.1, 0.75, 2.2, 6.0):
-            expected = dp_module._first_crossing(table, value)
-            assert dp_module._sorted_crossing(table, value) == expected, (table, value)
-
-
 def test_backward_pass_bit_reproducible():
     inst = _ref_instance(5000)
     t1 = compute_thresholds(inst)
@@ -490,6 +479,35 @@ def test_discounted_sums_in_blocks_follow_the_recursion(rate, size):
     loop = _backward_loop(inst)
     np.testing.assert_allclose(phi[1:], loop[0][1:], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(phibar, loop[1], rtol=1e-13, atol=0.0)
+
+
+def test_phi_falling_back_below_b_raises_naming_its_switch(monkeypatch):
+    # A formal law with b above n: a _geometric that writes b puts phi at b
+    # from step n - 1 down, so phi switches there, and its high regime then
+    # relaxes toward n < b and falls below b at the next step.
+    inst = InstanceParams(0.5, 12.0, 0.4, 8)
+
+    def at_b(x0, eps, terms, out):
+        out.fill(inst.b)
+        return out
+
+    monkeypatch.setattr(dp_module, "_geometric", at_b)
+    with pytest.raises(
+        ConsistencyError, match=r"^phi falls below b again after step 7: no closed form$"
+    ):
+        dp_module._closed_form_tables(inst)
+
+
+def test_phibar_falling_back_below_b_raises_naming_its_switch():
+    # A formal law with n < b < a: phibar[n] = a puts phibar at b or above
+    # from step n - 1, and its high regime then relaxes toward n < b.  phi
+    # stays below b, as its fixed point (1 + bp) / (p + 1/n) is below b when
+    # b > n.
+    inst = InstanceParams(12.12, 12.0, 0.4, 8)
+    with pytest.raises(
+        ConsistencyError, match=r"^phibar falls below b again after step 7: no closed form$"
+    ):
+        dp_module._closed_form_tables(inst)
 
 
 def test_multi_block_points_need_more_than_one_block():
