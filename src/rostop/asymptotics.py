@@ -146,8 +146,12 @@ def _q(a, b, p, lam, mu, nu, exp):
     )
 
 
-def _q_terms(a, b, p, lam, nu, exp):
-    """``(q1, q1_unsimplified, q2, q3)`` at ``nu``; see :func:`q_derivatives`."""
+def _q_prime_terms(a, b, p, lam, nu, exp):
+    """``(q1, q1_unsimplified, e1, slope)`` at ``nu``; see :func:`q_derivatives`.
+
+    ``e1`` and ``slope`` are the factors that the higher derivatives share
+    with ``q'`` (:func:`_q_higher_terms`).
+    """
     e1 = exp(p * (nu - 1.0))
     slope = (1.0 + b * p) * (nu - lam)
     q1 = 1.0 - nu + (slope - a) * e1
@@ -157,9 +161,14 @@ def _q_terms(a, b, p, lam, nu, exp):
         + ((1.0 / p + b) + slope - a) * e1
         - (1.0 / p + b - a) * exp(p * (nu - lam))
     )
+    return q1, q1_unsimplified, e1, slope
+
+
+def _q_higher_terms(a, b, p, e1, slope):
+    """``(q2, q3)`` from the factors that :func:`_q_prime_terms` returns."""
     q2 = -1.0 + (1.0 + p * (b - a + slope)) * e1
     q3 = p * (2.0 + p * (2.0 * b - a + slope)) * e1
-    return q1, q1_unsimplified, q2, q3
+    return q2, q3
 
 
 def q_eval(a: float, b: float, p: float, lam: float, mu: float, nu: float) -> float:
@@ -183,15 +192,26 @@ def q_derivatives(
 
 def _q_derivatives(a, b, p, lam, mu_star, nu):
     """:func:`q_derivatives` given ``mu*``, for callers that already hold it."""
+    q1, e1, slope = _q_prime(a, b, p, lam, mu_star, nu)
+    q2, q3 = _q_higher_terms(a, b, p, e1, slope)
+    return q1, q2, q3
+
+
+def _q_prime(a, b, p, lam, mu_star, nu):
+    """``(q1, e1, slope)``: ``q'`` at ``nu``, checked as :func:`q_derivatives` checks it.
+
+    The bisection reads ``q1`` alone; :func:`_q_derivatives` goes on from
+    the two factors to the higher derivatives.
+    """
     if not mu_star <= nu <= lam:
         raise ParameterError(f"nu={nu!r} outside [mu*, lambda*] = [{mu_star!r}, {lam!r}]")
-    q1, q1_unsimplified, q2, q3 = _q_terms(a, b, p, lam, nu, math.exp)
+    q1, q1_unsimplified, e1, slope = _q_prime_terms(a, b, p, lam, nu, math.exp)
     if abs(q1 - q1_unsimplified) > 1e-12:
         raise ConsistencyError(
             "simplified and unsimplified q' disagree: "
             f"{q1!r} vs {q1_unsimplified!r} (is lambda_star correct?)"
         )
-    return q1, q2, q3
+    return q1, e1, slope
 
 
 def _require_matching_times(inst: InstanceParams, times: AcceptanceTimes) -> None:

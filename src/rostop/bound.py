@@ -12,23 +12,26 @@ changes sign on the interval, and its zero ``nu*`` is located by
 bracketing bisection.
 
 Bisection is used deliberately instead of a faster root finder: the error
-certificate rests on its bracket guarantee.  The returned ``nu_hat`` is the
-midpoint of the final bracket, so ``|nu_hat - nu*|`` is at most half the
-final width; that half-width is reported as ``nu_error_bound`` (it is never
-larger than ``xtol + |nu_hat| * rtol``).  ``q'`` is convex on the final
-bracket (third derivative positive at both ends), so its endpoint values
-and tangents prove ``|q'| < 1`` there, and the same bound then dominates
-``|q(nu_hat) - m|``.
+certificate rests on its bracket guarantee.  Each halving evaluates ``q'``
+alone, with its two checks (``nu`` inside ``[mu*, lambda*]``, and the
+simplified ``q'`` within 1e-12 of the unsimplified one).  The returned
+``nu_hat`` is the midpoint of the final bracket, so ``|nu_hat - nu*|`` is at
+most half the final width; that half-width is reported as
+``nu_error_bound`` (it is never larger than ``xtol + |nu_hat| * rtol``).
+Only the certificate reads ``q''`` and ``q'''``: ``q'`` is convex on the
+final bracket (third derivative positive at both ends), so its endpoint
+values and tangents prove ``|q'| < 1`` there, and the same bound then
+dominates ``|q(nu_hat) - m|``.
 
 :func:`hardness_bound` is the single-point path and the reference.  The
 sweep uses the private batched evaluator :func:`_hardness_bounds`, which
 runs the same steps over numpy arrays of validated points: all lanes bisect
-in lockstep, each stopping on the scalar's own width test.  The lanes share
-every formula with the scalar path, so every result equals the scalar's bit
-for bit; they differ only in how a check reports.  Each scalar check is a
-mask over the lanes; if any lane fails one, the first such point in input
-order is re-run through :func:`hardness_bound`, so every error is raised,
-and worded, only there.
+in lockstep on ``q'`` alone, each stopping on the scalar's own width test.
+The lanes share every formula with the scalar path, so every result equals
+the scalar's bit for bit; they differ only in how a check reports.  Each
+scalar check is a mask over the lanes; if any lane fails one, the first
+such point in input order is re-run through :func:`hardness_bound`, so
+every error is raised, and worded, only there.
 """
 
 from __future__ import annotations
@@ -41,7 +44,16 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import _limits, _q, _q_derivatives, _q_terms, lambda_mu_star, q_eval
+from .asymptotics import (
+    _limits,
+    _q,
+    _q_derivatives,
+    _q_higher_terms,
+    _q_prime,
+    _q_prime_terms,
+    lambda_mu_star,
+    q_eval,
+)
 from .dp import ConsistencyError
 from .instance import ParameterError
 from .prophet import _limit, prophet_limit
@@ -203,7 +215,7 @@ def _maximise_q(
     ``log2((lam - mu)/xtol) ~ 42`` halvings suffice at the default
     tolerances.
     """
-    f = lambda nu: _q_derivatives(a, b, p, lam, mu, nu)[0]
+    f = lambda nu: _q_prime(a, b, p, lam, mu, nu)[0]
     q1_hi = f(lam)
     if q1_hi > 0.0:
         raise ConsistencyError(
@@ -282,15 +294,17 @@ def certify(bound: HardnessBound) -> ErrorCertificate:
 #
 # The functions below run the scalar path over numpy arrays of points, one
 # lane per point.  They evaluate the very formulas the scalar path does
-# (``asymptotics._limits``, ``_q`` and ``_q_terms``, ``prophet._limit`` and
-# :func:`_sup_from_ends`), given element-wise libm ``exp`` and ``log1p``
-# (numpy's vectorised versions can differ from libm in the last bit) and
-# Python's ``max``/``min`` per element; numpy does the + - * / in the same
-# order, so every lane's result is bit-identical to the scalar one.  The two
-# paths differ only in how a check reports: each check that the scalar path
-# raises on is a boolean mask over the lanes, OR-ed into one ``bad`` array,
-# and no lane is ever dropped.  The error itself is re-derived by
-# :func:`hardness_bound` for the first bad point.
+# (``asymptotics._limits``, ``_q``, ``_q_prime_terms`` and
+# ``_q_higher_terms``, ``prophet._limit`` and :func:`_sup_from_ends`), given
+# element-wise libm ``exp`` and ``log1p`` (numpy's vectorised versions can
+# differ from libm in the last bit) and Python's ``max``/``min`` per element;
+# numpy does the + - * / in the same order, so every lane's result is
+# bit-identical to the scalar one.  The two paths differ only in how a check
+# reports: each check that the scalar path raises on is a boolean mask over
+# the lanes, OR-ed into one ``bad`` array, and no lane is ever dropped.  The
+# error itself is re-derived by :func:`_raise_first_bad` for the first bad
+# point.  The sweep evaluates ``instance._rows`` on lanes with the same
+# primitives.
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -298,6 +312,7 @@ def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 
 _exp = partial(_libm, math.exp)
+_log = partial(_libm, math.log)
 _log1p = partial(_libm, math.log1p)
 
 
@@ -311,15 +326,40 @@ def _pymin(x, y):
     return np.where(y < x, y, x)
 
 
-def _q_derivatives_lanes(a, b, p, lam, mu_star, nu):
-    """:func:`~rostop.asymptotics._q_derivatives` per lane: ``(q1, q2, q3, bad)``.
+def _raise_first_bad(bad, a, b, p, scalar: Callable) -> None:
+    """Re-run the first point flagged in ``bad`` through ``scalar`` and raise its error.
+
+    The message names the point.  If ``scalar`` passes there, the lanes and
+    the scalar disagree, which raises :class:`ConsistencyError`.
+    """
+    j = int(np.argmax(bad))
+    point = (a[j].item(), b[j].item(), p[j].item())
+    prefix = f"at (a, b, p) = {point!r}: "
+    try:
+        scalar(*point)
+    except (
+        ParameterError, ConsistencyError, BracketError, MaxIterationsError, CertificationError
+    ) as exc:
+        raise type(exc)(prefix + str(exc)) from exc
+    raise ConsistencyError(prefix + f"the batched checks fail where {scalar.__name__} passes")
+
+
+def _q_prime_lanes(a, b, p, lam, mu_star, nu):
+    """:func:`~rostop.asymptotics._q_prime` per lane: ``(q1, e1, slope, bad)``.
 
     ``bad`` marks the lanes where the scalar raises: ``nu`` outside
     ``[mu*, lambda*]``, or simplified and unsimplified ``q'`` apart by more
     than 1e-12.
     """
-    q1, q1_unsimplified, q2, q3 = _q_terms(a, b, p, lam, nu, _exp)
+    q1, q1_unsimplified, e1, slope = _q_prime_terms(a, b, p, lam, nu, _exp)
     bad = ~((mu_star <= nu) & (nu <= lam)) | (np.abs(q1 - q1_unsimplified) > 1e-12)
+    return q1, e1, slope, bad
+
+
+def _q_derivatives_lanes(a, b, p, lam, mu_star, nu):
+    """:func:`~rostop.asymptotics._q_derivatives` per lane: ``(q1, q2, q3, bad)``."""
+    q1, e1, slope, bad = _q_prime_lanes(a, b, p, lam, mu_star, nu)
+    q2, q3 = _q_higher_terms(a, b, p, e1, slope)
     return q1, q2, q3, bad
 
 
@@ -327,10 +367,10 @@ def _maximise_q_lanes(a, b, p, lam, mu, xtol, rtol):
     """:func:`_maximise_q` per lane, with every lane bisected in lockstep.
 
     Returns ``(nu_hat, m, iterations, nu_error_bound, bad)``; the entries of
-    bad lanes are meaningless.
+    bad lanes are meaningless.  Like the scalar, it evaluates ``q'`` alone.
     """
-    q1_hi, _, _, bad = _q_derivatives_lanes(a, b, p, lam, mu, lam)
-    q1_lo, _, _, bad_lo = _q_derivatives_lanes(a, b, p, lam, mu, mu)
+    q1_hi, _, _, bad = _q_prime_lanes(a, b, p, lam, mu, lam)
+    q1_lo, _, _, bad_lo = _q_prime_lanes(a, b, p, lam, mu, mu)
     bad |= bad_lo | ~((q1_lo > 0.0) & (0.0 >= q1_hi))
     # _bisect in lockstep: each lane stops on its own width test, so its
     # halving count is the scalar's; finished and bad lanes stay frozen.
@@ -343,7 +383,7 @@ def _maximise_q_lanes(a, b, p, lam, mu, xtol, rtol):
         if not running.any() or halvings == _MAX_ITER:
             break
         iterations += running
-        q1, _, _, bad_mid = _q_derivatives_lanes(a, b, p, lam, mu, mid)
+        q1, _, _, bad_mid = _q_prime_lanes(a, b, p, lam, mu, mid)
         bad |= running & bad_mid
         running &= ~bad
         up = q1 > 0.0
@@ -385,16 +425,7 @@ def _hardness_bounds(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> dict[str, n
     sup, bad_sup = _qprime_sup_lanes(a, b, p, lam, mu, nu_hat - nu_err, nu_hat + nu_err)
     bad |= bad_sup | ~((a > 0) & (b > 0) & (p > 0))
     if bad.any():
-        j = int(np.argmax(bad))
-        point = (a[j].item(), b[j].item(), p[j].item())
-        prefix = f"at (a, b, p) = {point!r}: "
-        try:
-            hardness_bound(*point)
-        except (
-            ParameterError, ConsistencyError, BracketError, MaxIterationsError, CertificationError
-        ) as exc:
-            raise type(exc)(prefix + str(exc)) from exc
-        raise ConsistencyError(prefix + "the batched checks fail where hardness_bound passes")
+        _raise_first_bad(bad, a, b, p, hardness_bound)
     return {
         "lambda_star": lam,
         "mu_star": mu,

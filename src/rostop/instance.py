@@ -29,6 +29,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from math import isfinite
 
 __all__ = [
     "CONDITION_NAMES",
@@ -79,7 +80,7 @@ class ConditionCheck:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     """Outcome of all eight feasibility checks for one parameter tuple.
 
@@ -153,11 +154,13 @@ class InstanceParams:
         )
 
 
-def _finite(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
+def _finite(a, b, p) -> tuple[float, float, float]:
+    # a, b and p as floats; ParameterError names the first that is not finite.
+    a, b, p = float(a), float(b), float(p)
+    if not (isfinite(a) and isfinite(b) and isfinite(p)):
+        name, x = next((name, x) for name, x in zip("abp", (a, b, p)) if not isfinite(x))
         raise ParameterError(f"{name} must be finite, got {x!r}")
-    return x
+    return a, b, p
 
 
 def _integer(x, name: str) -> int:
@@ -194,35 +197,51 @@ def validate(a: float, b: float, p: float, n: int | None = None) -> ConditionRep
 
     Pure function: identical inputs yield identical reports.
     """
-    a = _finite(a, "a")
-    b = _finite(b, "b")
-    p = _finite(p, "p")
+    a, b, p = _finite(a, b, p)
     if n is not None:
         n = _size(n)
+    return ConditionReport(*_rows(a, b, p, n, math.log, math.log1p, _nan_unless, min))
 
-    ordering_margin, pmf_lhs = _law_lhs(a, b, p, n)
+
+def _nan_unless(test: bool, x: float) -> float:
+    return x if test else math.nan
+
+
+def _rows(a, b, p, n, log, log1p, nan_unless, min):
+    """``(lhs, rhs, ok)`` of the eight checks, in ``CONDITION_NAMES`` order, for finite inputs.
+
+    The functions come as arguments, like ``asymptotics._limits``'s.
+    :func:`validate` passes ``math.log``, ``math.log1p``, :func:`_nan_unless`
+    and ``min``.  The sweep passes numpy lanes of points with libm per element
+    and numpy counterparts of the other two, so each lane gets
+    :func:`validate`'s bits.  Each guard ``nan_unless(test, x)`` turns an
+    argument outside the domain of ``log``, ``log1p`` or a division into
+    NaN, and a NaN witness fails its check.
+    """
+    ordering_margin, pmf_lhs = _law_lhs(a, b, p, n, min)
     pb = p * b
-    # the guards return NaN exactly where log1p / log raise a domain error
-    log_lhs = math.log1p(pb) if pb > -1.0 else math.nan
-
+    # log1p's domain, where also 1 + pb > 0 exactly
+    pb_or_nan = nan_unless(pb > -1.0, pb)
+    log_lhs = log1p(pb_or_nan)
     u = 1.0 + pb
     v = 1.0 + (b - a) * p
-    ratio = u / v if v != 0.0 else math.nan
-    lhs_i = ratio * math.log(ratio) if ratio > 0.0 else math.nan
+    v_or_nan = nan_unless(v != 0.0, v)
+    ratio = u / v_or_nan
+    lhs_i = ratio * log(nan_unless(ratio > 0.0, ratio))
     rhs_i = a * p
     lhs_ii = (2.0 - p) * (b - a)
-    lhs_iii = (1.0 - lhs_ii) / v if v != 0.0 else math.nan
-    # v / u underflows to 0 when p*b overflows, and log(0) raises
-    w = v / u if v > 0.0 and u > 0.0 else 0.0
-    rhs_iii = 1.0 + math.log(w) / p if w > 0.0 and p != 0.0 else math.nan
+    lhs_iii = (1.0 - lhs_ii) / v_or_nan
+    # v / u, NaN where u <= 0 and at most 0 where v <= 0 < u: the guard below
+    # fails there, as where v / u underflows to 0 (p*b overflows)
+    w = v / (1.0 + pb_or_nan)
+    rhs_iii = 1.0 + log(nan_unless(w > 0.0, w)) / nan_unless(p != 0.0, p)
     lhs_iv = 2.0 + pb * (1.0 - p * (b - a))
     denom_v = u * log_lhs
-    lhs_v = pb * v / denom_v if denom_v and not math.isnan(denom_v) else math.nan
-
-    return ConditionReport(
-        lhs=(ordering_margin, log_lhs, lhs_i, lhs_ii, lhs_iii, lhs_iv, lhs_v, pmf_lhs),
-        rhs=(0.0, p, rhs_i, 1.0, rhs_iii, 0.0, 1.0, 1.0),
-        ok=(
+    lhs_v = pb * v / nan_unless(denom_v != 0.0, denom_v)
+    return (
+        (ordering_margin, log_lhs, lhs_i, lhs_ii, lhs_iii, lhs_iv, lhs_v, pmf_lhs),
+        (0.0, p, rhs_i, 1.0, rhs_iii, 0.0, 1.0, 1.0),
+        (
             ordering_margin > 0.0,
             log_lhs < p,
             lhs_i <= rhs_i,
@@ -235,7 +254,7 @@ def validate(a: float, b: float, p: float, n: int | None = None) -> ConditionRep
     )
 
 
-def _law_lhs(a: float, b: float, p: float, n: int | None) -> tuple[float, float]:
+def _law_lhs(a, b, p, n: int | None, min) -> tuple:
     # The ``ordering`` and ``pmf`` lhs of checked inputs; pmf's n=None limit is 0.
     return min(a, 1.0 - a, b - 1.0, p), (0.0 if n is None else p / n + 1.0 / (n * n))
 
@@ -247,8 +266,9 @@ def require_law(inst: InstanceParams) -> None:
     :func:`validate` report, which is built only then, and ``b >= n``
     :class:`ParameterError`.
     """
-    a, b, p, n = _finite(inst.a, "a"), _finite(inst.b, "b"), _finite(inst.p, "p"), _size(inst.n)
-    ordering, pmf = _law_lhs(a, b, p, n)
+    a, b, p = _finite(inst.a, inst.b, inst.p)
+    n = _size(inst.n)
+    ordering, pmf = _law_lhs(a, b, p, n, min)
     if not (ordering > 0.0 and pmf <= 1.0):
         raise InfeasibleInstanceError(validate(a, b, p, n))
     if not b < n:

@@ -9,10 +9,14 @@ Ranking is ascending in ``M`` because a smaller upper bound is the stronger
 hardness statement; ties break lexicographically on ``(a, b, p)`` and
 infeasible points sort last.
 
-The grid is evaluated in contiguous chunks of at most ``_CHUNK`` points.
-Each chunk runs ``validate`` once per point, then bounds its feasible points
-in one batched call (``bound._hardness_bounds``), whose results equal
-:func:`~rostop.bound.hardness_bound`'s bit for bit.
+The grid is one set of numpy lanes, evaluated in contiguous chunks of at
+most ``_CHUNK`` points.  Each chunk evaluates ``validate``'s eight checks on
+its lanes (``instance._rows``, with libm per element), then bounds its
+feasible points in one batched call (``bound._hardness_bounds``).  Both give
+the scalar functions' results bit for bit.  One ``np.lexsort`` ranks the
+whole grid, and the records are built in ranked order.  A non-finite grid
+value, or a point that fails a check of the bound, is re-run through the
+scalar function, whose error is raised with the point named.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .bound import _hardness_bounds
+from .bound import _hardness_bounds, _log, _log1p, _pymin, _raise_first_bad
 from .dp import _require_table_size, compute_thresholds, gambler_prophet_ratio
-from .instance import _size, make_instance, validate
+from .instance import CONDITION_NAMES, _rows, _size, make_instance, validate
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -113,33 +118,68 @@ def _axis_values(rng: tuple[float, float, float]) -> list[float]:
     return [lo + i * step for i in range(_axis_count(rng))]
 
 
+def _grid_lanes(spec: SweepSpec) -> list[np.ndarray]:
+    """The grid's ``a``, ``b`` and ``p`` as three arrays: a outer, b middle, p inner."""
+    axes = [np.array(_axis_values(rng)) for rng in (spec.a, spec.b, spec.p)]
+    return [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
+
+
 def _grid(spec: SweepSpec) -> list[tuple[float, float, float]]:
-    return [
-        (a, b, p)
-        for a in _axis_values(spec.a)
-        for b in _axis_values(spec.b)
-        for p in _axis_values(spec.p)
-    ]
+    return list(zip(*(x.tolist() for x in _grid_lanes(spec))))
 
 
-def _evaluate_chunk(points: list[tuple[float, float, float]]) -> list[SweepRecord]:
-    """Validate each point, then bound the feasible ones in one batched call."""
-    # Only the failed names are kept, not the reports, which are large.
-    failed = [validate(*pt).failed_names() for pt in points]
-    feasible = [pt for pt, names in zip(points, failed) if not names]
-    bounds = _hardness_bounds(*np.array(feasible, float).reshape(-1, 3).T)
-    case_and_M = zip(bounds["case"].tolist(), bounds["M"].tolist())
-    return [
-        SweepRecord(a, b, p, False, names, None, None) if names
-        else SweepRecord(a, b, p, True, (), *next(case_and_M))
-        for (a, b, p), names in zip(points, failed)
-    ]
+def _nan_unless_lanes(test, x):
+    return np.where(test, x, np.nan)
 
 
-def _sort_key(rec: SweepRecord):
-    if rec.feasible:
-        return (0, rec.M, rec.a, rec.b, rec.p)
-    return (1, 0.0, rec.a, rec.b, rec.p)
+def _min_lanes(*xs):
+    return reduce(_pymin, xs)
+
+
+# The failed names of each bit pattern, where bit i is set when check i fails:
+# the patterns with bit i set repeat those below 2**i, each plus name i.
+_FAILED = reduce(
+    lambda table, name: table + [names + (name,) for names in table], CONDITION_NAMES, [()]
+)
+
+
+def _row_lanes(a: np.ndarray, b: np.ndarray, p: np.ndarray):
+    """``validate``'s ``(lhs, rhs, ok)`` for finite points, one lane each.
+
+    These are ``instance._rows`` on numpy lanes, with libm per element, so
+    every lane equals ``validate``'s report bit for bit; a row that does not
+    depend on the point is a Python constant.
+    """
+    with np.errstate(all="ignore"):  # overflow and NaN, as Python floats give them
+        return _rows(a, b, p, None, _log, _log1p, _nan_unless_lanes, _min_lanes)
+
+
+def _failure_codes(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Each point's failed checks as the bits of an index into ``_FAILED``.
+
+    A point's code is 0 exactly when ``validate(a, b, p).passed``.  A
+    non-finite value is re-run through ``validate``, which raises.
+    """
+    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(p)
+    if not finite.all():
+        _raise_first_bad(~finite, a, b, p, validate)
+    _, _, ok = _row_lanes(a, b, p)
+    return sum(np.where(passed, 0, 1 << i) for i, passed in enumerate(ok))
+
+
+def _evaluate_chunk(a: np.ndarray, b: np.ndarray, p: np.ndarray):
+    """``(codes, M, case)`` of the points: feasible ones have code 0 and are bounded.
+
+    Infeasible points get ``M`` 0, their key in the ranking, and case None.
+    """
+    codes = _failure_codes(a, b, p)
+    feasible = codes == 0
+    bounds = _hardness_bounds(a[feasible], b[feasible], p[feasible])
+    M = np.zeros(a.size)
+    M[feasible] = bounds["M"]
+    case = np.full(a.size, None, object)
+    case[feasible] = bounds["case"].tolist()
+    return codes, M, case
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
@@ -148,14 +188,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     ``workers`` is ignored; it stays only because ``perfbench/run.py``
     calls ``run_sweep(spec, 2)`` and compares the output with the serial one.
     """
-    points = _grid(spec)
-    records = [
-        rec
-        for i in range(0, len(points), _CHUNK)
-        for rec in _evaluate_chunk(points[i : i + _CHUNK])
+    a, b, p = _grid_lanes(spec)
+    codes = np.empty(a.size, np.uint8)
+    M = np.empty(a.size)
+    case = np.empty(a.size, object)
+    for i in range(0, a.size, _CHUNK):
+        chunk = slice(i, i + _CHUNK)
+        codes[chunk], M[chunk], case[chunk] = _evaluate_chunk(a[chunk], b[chunk], p[chunk])
+    # feasible first, then ascending in M (0 for the infeasible), then in
+    # (a, b, p); lexsort is stable, as list.sort is
+    order = np.lexsort((p, b, a, M, codes != 0))
+    return [
+        SweepRecord(x, y, z, True, (), c, m) if code == 0
+        else SweepRecord(x, y, z, False, _FAILED[code], None, None)
+        for x, y, z, code, m, c in zip(*(v[order].tolist() for v in (a, b, p, codes, M, case)))
     ]
-    records.sort(key=_sort_key)
-    return records
 
 
 def refine(best: SweepRecord, spec: SweepSpec) -> SweepRecord:

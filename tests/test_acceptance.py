@@ -119,15 +119,15 @@ def test_criterion_05_oracle_equivalence():
 
 
 def test_criterion_06_closed_form_consistency(ref_dp):
-    from rostop import phi_closed_form
-
+    # The pass writes phi's low regime in closed form; the step-by-step loop
+    # runs the recursion itself, so the two share no arithmetic.
     inst, tables, times = ref_dp.get(10**5)
-    worst = max(
-        abs(phi_closed_form(inst, i) - tables.phi[i]) / tables.phi[i]
-        for i in range(times.k_n, inst.n + 1)
-    )
+    span = slice(times.k_n, inst.n + 1)
+    loop_phi = _backward_loop(inst)[0][span]
+    worst = float(np.max(np.abs(loop_phi - tables.phi[span]) / tables.phi[span]))
     ok = worst <= 1e-9
-    _report(6, ok, f"max relative deviation on [k_n, n] = {worst:.2e}")
+    _report(6, ok, f"max relative deviation from the step-by-step loop on [k_n, n] = "
+            f"{worst:.2e}")
 
 
 def test_criterion_07_asymptotic_convergence(ref_dp):
@@ -238,4 +238,26 @@ def test_criterion_12_sweep_regression(tmp_path):
         12, ok,
         f"reference point feasible={rec.feasible} M={rec.M:.12f} "
         f"serial==parallel bytes: {identical}",
+    )
+
+
+def test_criterion_13_richardson_step_reaches_the_bound():
+    # r_n = M + c1/n + O(1/n^2): one Richardson step 2 r_{2n} - r_n lands on
+    # M from the backward pass alone, and n (r_n - M) settles to c1.  The last
+    # point fails the sandwich's ordering check, yet its limit is still M.
+    n = 10**5
+    worst_gap = worst_c1 = 0.0
+    for point in (REF_PARAMS, *PERTURBED, (0.75, 1.28, 0.48)):
+        r = {}
+        for size in (n, 2 * n):
+            inst, _ = make_instance(*point, size)
+            r[size] = gambler_prophet_ratio(inst, compute_thresholds(inst))
+        M = hardness_bound(*point).M
+        worst_gap = max(worst_gap, abs(2.0 * r[2 * n] - r[n] - M))
+        worst_c1 = max(worst_c1, abs(n * (r[n] - M) - 2 * n * (r[2 * n] - M)))
+    ok = worst_gap <= 1e-10 and worst_c1 <= 1e-5
+    _report(
+        13, ok,
+        f"max |2 r_2n - r_n - M| = {worst_gap:.1e}, "
+        f"max |n (r_n - M) at n and 2n apart| = {worst_c1:.1e}, n = {n}",
     )

@@ -1,8 +1,12 @@
 import hashlib
 import io
+import itertools
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rostop.bound
 import rostop.dp as dp_module
@@ -21,7 +25,8 @@ from rostop import (
     write_sweep_csv,
 )
 from rostop.bound import _hardness_bounds
-from rostop.sweep import _axis_values, _grid
+from rostop.instance import CONDITION_NAMES
+from rostop.sweep import _FAILED, _axis_values, _failure_codes, _grid, _row_lanes
 
 from conftest import REF_PARAMS
 
@@ -316,3 +321,88 @@ def test_dp_cross_check():
     )
     with pytest.raises(ValueError):
         dp_cross_check(bad, 100)
+
+
+# Draws near the grids, where most rows pass, and anywhere on the finite line,
+# where the guards of log1p, log and the divisions fire.
+_NEAR_GRID = st.tuples(st.floats(0.0, 1.2), st.floats(0.8, 3.0), st.floats(-0.1, 2.5))
+_ANY = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_NEAR_GRID, _ANY), min_size=1, max_size=10))
+@example([(3.0, 1.0, 0.5)])  # v = 0
+@example([(3.0, 2.0, -1.0)])  # u / v < 0
+@example([(0.5, 1.0, -1.0), (0.5, 2.0, -1.0)])  # p b = -1 and p b < -1
+@example([(0.5, 1.2, 0.0), (0.5, 1.2, -0.0)])  # p = 0
+@example([(1e200, 1e200, 1e200)])  # p b overflows, so v / u underflows to 0
+def test_row_lanes_equal_validate(points):
+    a, b, p = np.array(points).T
+    # one list per point; a row the same for every point is a Python constant
+    lhs, rhs, ok = (
+        np.array(np.broadcast_arrays(*rows)).T.tolist() for rows in _row_lanes(a, b, p)
+    )
+    reports = [validate(*point) for point in points]
+    assert ok == [list(r.ok) for r in reports]
+    # repr tells -0.0 from 0.0, as the JSON report does
+    assert [list(map(repr, row)) for row in lhs] == [list(map(repr, r.lhs)) for r in reports]
+    assert [list(map(repr, row)) for row in rhs] == [list(map(repr, r.rhs)) for r in reports]
+    codes = _failure_codes(a, b, p).tolist()
+    assert [_FAILED[code] for code in codes] == [r.failed_names() for r in reports]
+
+
+def test_failed_names_cover_every_pattern():
+    assert _FAILED[0] == ()
+    assert _FAILED[-1] == CONDITION_NAMES
+    assert len(set(_FAILED)) == 2 ** len(CONDITION_NAMES)
+
+
+@pytest.mark.parametrize("axis", ["a", "p"])
+def test_non_finite_grid_value_raises_parameter_error(axis):
+    # lo + i*step overflows on the last point of an axis whose width is finite
+    big = sys.float_info.max
+    axes = {"a": (0.7, 0.8, 0.1), "b": (1.2, 1.3, 0.1), "p": (0.4, 0.5, 0.1)}
+    axes[axis] = (0.0, big, big / 3)
+    spec = SweepSpec(**axes)
+    assert _axis_values(axes[axis])[-1] == float("inf")
+    with pytest.raises(ParameterError, match=rf"at \(a, b, p\) = .*inf.*: {axis} must be finite"):
+        run_sweep(spec)
+
+
+def _sort_key(rec):
+    if rec.feasible:
+        return (0, rec.M, rec.a, rec.b, rec.p)
+    return (1, 0.0, rec.a, rec.b, rec.p)
+
+
+def _reference_sweep(spec):
+    """One ``validate`` and, where it passes, one ``hardness_bound`` per point."""
+    records = []
+    for a, b, p in itertools.product(*map(_axis_values, (spec.a, spec.b, spec.p))):
+        names = validate(a, b, p).failed_names()
+        if names:
+            records.append(SweepRecord(a, b, p, False, names, None, None))
+        else:
+            hb = hardness_bound(a, b, p)
+            records.append(SweepRecord(a, b, p, True, (), hb.case, hb.M))
+    return sorted(records, key=_sort_key)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_grid_equals_per_point_reference(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    axes = [
+        (lo, lo + width, width / count)
+        for lo, width, count in zip(
+            rng.uniform([0.6, 1.1, 0.3], [0.8, 1.3, 0.5]).tolist(),
+            rng.uniform([0.1, 0.1, 0.1], [0.3, 0.4, 0.4]).tolist(),
+            rng.integers(3, 9, size=3).tolist(),
+        )
+    ]
+    spec = SweepSpec(*axes)
+    monkeypatch.setattr("rostop.sweep._CHUNK", 64)  # several chunks
+    records = run_sweep(spec)
+    reference = _reference_sweep(spec)
+    assert any(r.feasible for r in reference) and not all(r.feasible for r in reference)
+    assert records == reference
+    assert [list(map(type, r)) for r in records] == [list(map(type, r)) for r in reference]
