@@ -29,7 +29,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from math import isfinite
 
 __all__ = [
     "CONDITION_NAMES",
@@ -154,13 +153,11 @@ class InstanceParams:
         )
 
 
-def _finite(a, b, p) -> tuple[float, float, float]:
-    # a, b and p as floats; ParameterError names the first that is not finite.
-    a, b, p = float(a), float(b), float(p)
-    if not (isfinite(a) and isfinite(b) and isfinite(p)):
-        name, x = next((name, x) for name, x in zip("abp", (a, b, p)) if not isfinite(x))
+def _finite(x: float, name: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
         raise ParameterError(f"{name} must be finite, got {x!r}")
-    return a, b, p
+    return x
 
 
 def _integer(x, name: str) -> int:
@@ -197,7 +194,9 @@ def validate(a: float, b: float, p: float, n: int | None = None) -> ConditionRep
 
     Pure function: identical inputs yield identical reports.
     """
-    a, b, p = _finite(a, b, p)
+    a = _finite(a, "a")
+    b = _finite(b, "b")
+    p = _finite(p, "p")
     if n is not None:
         n = _size(n)
     return ConditionReport(*_rows(a, b, p, n, math.log, math.log1p, _nan_unless, min))
@@ -266,8 +265,7 @@ def require_law(inst: InstanceParams) -> None:
     :func:`validate` report, which is built only then, and ``b >= n``
     :class:`ParameterError`.
     """
-    a, b, p = _finite(inst.a, inst.b, inst.p)
-    n = _size(inst.n)
+    a, b, p, n = _finite(inst.a, "a"), _finite(inst.b, "b"), _finite(inst.p, "p"), _size(inst.n)
     ordering, pmf = _law_lhs(a, b, p, n, min)
     if not (ordering > 0.0 and pmf <= 1.0):
         raise InfeasibleInstanceError(validate(a, b, p, n))

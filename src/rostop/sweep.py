@@ -25,6 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
@@ -136,13 +137,6 @@ def _min_lanes(*xs):
     return reduce(_pymin, xs)
 
 
-# The failed names of each bit pattern, where bit i is set when check i fails:
-# the patterns with bit i set repeat those below 2**i, each plus name i.
-_FAILED = reduce(
-    lambda table, name: table + [names + (name,) for names in table], CONDITION_NAMES, [()]
-)
-
-
 def _row_lanes(a: np.ndarray, b: np.ndarray, p: np.ndarray):
     """``validate``'s ``(lhs, rhs, ok)`` for finite points, one lane each.
 
@@ -154,32 +148,33 @@ def _row_lanes(a: np.ndarray, b: np.ndarray, p: np.ndarray):
         return _rows(a, b, p, None, _log, _log1p, _nan_unless_lanes, _min_lanes)
 
 
-def _failure_codes(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Each point's failed checks as the bits of an index into ``_FAILED``.
+def _passed_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``validate(a, b, p).ok`` of each point, as a column of eight booleans.
 
-    A point's code is 0 exactly when ``validate(a, b, p).passed``.  A
-    non-finite value is re-run through ``validate``, which raises.
+    A non-finite value is re-run through ``validate``, which raises.
     """
     finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(p)
     if not finite.all():
         _raise_first_bad(~finite, a, b, p, validate)
-    _, _, ok = _row_lanes(a, b, p)
-    return sum(np.where(passed, 0, 1 << i) for i, passed in enumerate(ok))
+    ok = np.empty((len(CONDITION_NAMES), a.size), bool)
+    for row, passed in zip(ok, _row_lanes(a, b, p)[2]):
+        row[...] = passed
+    return ok
 
 
 def _evaluate_chunk(a: np.ndarray, b: np.ndarray, p: np.ndarray):
-    """``(codes, M, case)`` of the points: feasible ones have code 0 and are bounded.
+    """``(ok, M, case)`` of the points: those that pass every check are bounded.
 
     Infeasible points get ``M`` 0, their key in the ranking, and case None.
     """
-    codes = _failure_codes(a, b, p)
-    feasible = codes == 0
+    ok = _passed_rows(a, b, p)
+    feasible = ok.all(0)
     bounds = _hardness_bounds(a[feasible], b[feasible], p[feasible])
     M = np.zeros(a.size)
     M[feasible] = bounds["M"]
     case = np.full(a.size, None, object)
     case[feasible] = bounds["case"].tolist()
-    return codes, M, case
+    return ok, M, case
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
@@ -189,19 +184,24 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     calls ``run_sweep(spec, 2)`` and compares the output with the serial one.
     """
     a, b, p = _grid_lanes(spec)
-    codes = np.empty(a.size, np.uint8)
+    ok = np.empty((len(CONDITION_NAMES), a.size), bool)
     M = np.empty(a.size)
     case = np.empty(a.size, object)
     for i in range(0, a.size, _CHUNK):
         chunk = slice(i, i + _CHUNK)
-        codes[chunk], M[chunk], case[chunk] = _evaluate_chunk(a[chunk], b[chunk], p[chunk])
+        ok[:, chunk], M[chunk], case[chunk] = _evaluate_chunk(a[chunk], b[chunk], p[chunk])
+    feasible = ok.all(0)
     # feasible first, then ascending in M (0 for the infeasible), then in
     # (a, b, p); lexsort is stable, as list.sort is
-    order = np.lexsort((p, b, a, M, codes != 0))
+    order = np.lexsort((p, b, a, M, ~feasible))
+    a, b, p, M, case = (v[order].tolist() for v in (a, b, p, M, case))
+    nf = int(feasible.sum())
+    failed = (~ok[:, order[nf:]]).T.tolist()
     return [
-        SweepRecord(x, y, z, True, (), c, m) if code == 0
-        else SweepRecord(x, y, z, False, _FAILED[code], None, None)
-        for x, y, z, code, m, c in zip(*(v[order].tolist() for v in (a, b, p, codes, M, case)))
+        SweepRecord(x, y, z, True, (), c, m) for x, y, z, c, m in zip(a, b, p, case[:nf], M[:nf])
+    ] + [
+        SweepRecord(x, y, z, False, tuple(compress(CONDITION_NAMES, f)), None, None)
+        for x, y, z, f in zip(a[nf:], b[nf:], p[nf:], failed)
     ]
 
 

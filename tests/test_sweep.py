@@ -25,8 +25,7 @@ from rostop import (
     write_sweep_csv,
 )
 from rostop.bound import _hardness_bounds
-from rostop.instance import CONDITION_NAMES
-from rostop.sweep import _FAILED, _axis_values, _failure_codes, _grid, _row_lanes
+from rostop.sweep import _axis_values, _grid, _passed_rows, _row_lanes
 
 from conftest import REF_PARAMS
 
@@ -192,12 +191,14 @@ def test_batched_checks_raise_for_the_first_failing_point(monkeypatch):
     with pytest.raises(CertificationError, match=first):
         run_sweep(BRACKET)
 
+    q_prime = rostop.bound._q_prime_lanes
+
     def later_points_fail_sooner(a, b, p, lam, mu_star, nu):
         # A NaN q' fails the bracket check, a stage before the certificate.
-        q1, q2, q3, bad = negative_third(a, b, p, lam, mu_star, nu)
-        return np.where(a > 0.79, np.nan, q1), q2, q3, bad
+        q1, e1, slope, bad = q_prime(a, b, p, lam, mu_star, nu)
+        return np.where(a > 0.79, np.nan, q1), e1, slope, bad
 
-    monkeypatch.setattr(rostop.bound, "_q_derivatives_lanes", later_points_fail_sooner)
+    monkeypatch.setattr(rostop.bound, "_q_prime_lanes", later_points_fail_sooner)
     with pytest.raises(CertificationError, match=first):
         run_sweep(BRACKET)
 
@@ -339,22 +340,14 @@ _ANY = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3)
 def test_row_lanes_equal_validate(points):
     a, b, p = np.array(points).T
     # one list per point; a row the same for every point is a Python constant
-    lhs, rhs, ok = (
+    lhs, rhs, _ = (
         np.array(np.broadcast_arrays(*rows)).T.tolist() for rows in _row_lanes(a, b, p)
     )
     reports = [validate(*point) for point in points]
-    assert ok == [list(r.ok) for r in reports]
+    assert _passed_rows(a, b, p).T.tolist() == [list(r.ok) for r in reports]
     # repr tells -0.0 from 0.0, as the JSON report does
     assert [list(map(repr, row)) for row in lhs] == [list(map(repr, r.lhs)) for r in reports]
     assert [list(map(repr, row)) for row in rhs] == [list(map(repr, r.rhs)) for r in reports]
-    codes = _failure_codes(a, b, p).tolist()
-    assert [_FAILED[code] for code in codes] == [r.failed_names() for r in reports]
-
-
-def test_failed_names_cover_every_pattern():
-    assert _FAILED[0] == ()
-    assert _FAILED[-1] == CONDITION_NAMES
-    assert len(set(_FAILED)) == 2 ** len(CONDITION_NAMES)
 
 
 @pytest.mark.parametrize("axis", ["a", "p"])
