@@ -35,11 +35,13 @@ are the acceptance times; an empty crossing set is encoded as ``n + 1``
 (the final step accepts everything).
 
 The curves CSV holds the bytes that ``"%d,%.15g,%.15g\n"`` gives row by
-row.  Long curves are formatted with numpy in blocks of a fixed number of
-rows, so the writer's memory beyond the tables does not grow with ``n``:
-a value's 15 significant digits are its product with an exact power of ten,
-rounded to an integer (Dekker's exact product settles the near-ties, and
-ties go to even), and they are laid out as ASCII three digits at a time.
+row.  Long curves are formatted with numpy in blocks of ``_CSV_BLOCK``
+rows, sized so that a block's word array and temporaries stay in L2 and
+are reused from the heap; the writer's scratch is about 1 MB and does not
+grow with ``n``.  A value's 15 significant digits are its product with an
+exact power of ten, rounded to an integer (Dekker's exact product settles
+the near-ties, and ties go to even), and they are laid out as ASCII three
+digits at a time.
 Values outside ``%g``'s fixed notation, and short curves, go through ``%``.
 """
 
@@ -384,13 +386,29 @@ def _curve_columns(
 
 _CSV_ROW = "%d,%.15g,%.15g\n"
 # Curves are formatted in numpy _CSV_BLOCK rows at a time, which bounds the
-# writer's memory.  Below _CSV_MIN_ROWS rows one ``%`` over all of them is
-# faster: 256 rows take 0.45 ms that way against 0.96 ms in numpy, and
-# 1,001 rows 2.0 against 1.2 ms (2-vCPU x86-64 VM, numpy 2.4).  The blocks'
-# fixed cost dominates tiny curves: 2 rows (n = 10^3 at stride 1000) take
-# 8 us with ``%`` and about 0.5 ms in numpy.
-_CSV_BLOCK = 1 << 16
-_CSV_MIN_ROWS = 512
+# writer's memory.  A block of 2^12 rows builds a 300 KB word array and
+# temporaries of 32 KB each, which stay in L2 and come back from the heap
+# instead of fresh mmaps.  The sweep times stride-1 curves at REF_PARAMS
+# into a StringIO (medians of interleaved runs), and reads the tracemalloc
+# peak into a sink at n = 10^5 and the peak RSS of perfbench's finite-size
+# workload (seed 1, --seconds 8); 2-vCPU x86-64 VM, 2 MiB L2 per core,
+# numpy 2.4:
+#
+#   block | n = 10^5 | n = 10^6 | peak, 10^5 | finite-size RSS
+#   2^11  |  56 ms   |  567 ms  |  0.55 MB   |  51.9-52.1 MB
+#   2^12  |  45 ms   |  469 ms  |  1.10 MB   |  52.4 MB
+#   2^13  |  43 ms   |  451 ms  |  2.21 MB   |  52.8-52.9 MB
+#   2^14  |  49 ms   |  479 ms  |  4.41 MB   |  53.8-53.9 MB
+#   2^16  |  63 ms   |  613 ms  |  17.6 MB   |  60.9-61.1 MB
+#
+# 2^12 is as fast as 2^13 at half the scratch.  Below _CSV_MIN_ROWS rows one
+# ``%`` over all of them is faster: 256 rows take 0.45-0.51 ms that way
+# against 0.48-0.60 ms in numpy, 320 rows about 0.58 ms either way, and
+# 1,001 rows 1.9 against 0.9-1.0 ms (medians of 400 interleaved runs).  The
+# blocks' fixed cost dominates tiny curves: 2 rows (n = 10^3 at stride
+# 1000) take 13 us with ``%`` and about 0.35 ms in numpy.
+_CSV_BLOCK = 1 << 12
+_CSV_MIN_ROWS = 320
 
 
 def write_threshold_csv(tables: ThresholdTables, stride: int, out: IO[str]) -> None:

@@ -28,12 +28,13 @@ accepted there, and the final step; one exponential draw per value gives
 each first success.  Both simulators take any instance with a real law
 (:func:`~rostop.instance.require_law`).  Each report's step histogram is a
 read-only :class:`StopHistogram` over two sorted int64 arrays, counted
-densely while ``n + 2`` is at most the trial count and otherwise by one sort
-of the stops, so its memory is O(min(n, trials)).
+densely while ``n + 2`` is at most the trial count and otherwise by one
+in-place sort of the stops, so its memory is O(min(n, trials)).
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
@@ -43,7 +44,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .dp import ConsistencyError, ThresholdTables, _first_crossing, _require_matching_tables
+from .dp import ConsistencyError, ThresholdTables, _require_matching_tables
 from .instance import InstanceParams, ParameterError, _integer, require_law
 
 __all__ = [
@@ -263,10 +264,11 @@ def _run_batches(
     # A dense step histogram while it is no larger than the trial count,
     # else the stops themselves, counted once: memory O(min(n, trials)).
     hist = np.zeros(n + 2, dtype=np.int64) if n + 2 <= trials else None
-    stops: list[np.ndarray] = []
+    stops = np.empty(trials, dtype=np.int64) if hist is None else None
     n_batches = (trials + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
     for batch in range(n_batches):
-        m = min(TRIALS_PER_BATCH, trials - batch * TRIALS_PER_BATCH)
+        lo = batch * TRIALS_PER_BATCH
+        m = min(TRIALS_PER_BATCH, trials - lo)
         # Stream-splitting rule: batch i of run `seed` uses Philox key (seed, i).
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, batch], np.uint64)))
         pos_a = rng.integers(1, n + 2, size=m, dtype=np.int64)
@@ -274,7 +276,7 @@ def _run_batches(
         sums.append(float(reward.sum()))
         sumsqs.append(float(np.square(reward).sum()))
         if hist is None:
-            stops.append(stop)
+            stops[lo:lo + m] = stop
         else:
             np.add.at(hist, stop, 1)
 
@@ -287,15 +289,15 @@ def _run_batches(
     else:
         std_error = 0.0
     if hist is None:
-        # one sort, then the start of each run of equal stops
-        stop = np.concatenate(stops)
-        stop.sort()
-        first = np.empty(stop.size, dtype=bool)
+        # one sort in place, then the start and length of each run of equal stops
+        stops.sort()
+        first = np.empty(trials, dtype=bool)
         first[0] = True
-        np.not_equal(stop[1:], stop[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        steps = stop[starts]
-        counts = np.diff(starts, append=stop.size)
+        np.not_equal(stops[1:], stops[:-1], out=first[1:])
+        counts = np.flatnonzero(first)  # each run's start, then its length
+        steps = stops[counts]
+        np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+        counts[-1] = trials - counts[-1]
     else:
         steps = np.flatnonzero(hist)
         counts = hist[steps]
@@ -336,6 +338,12 @@ def _first_success(
     return np.where(fails < before, acc_before + fails, after_start + (fails - before))
 
 
+def _sorted_crossing(table: np.ndarray, value: float) -> int:
+    # dp._first_crossing on a table nonincreasing on [1, n]: the flags
+    # "table[k] <= value" rise once there, so bisect for the first one.
+    return bisect.bisect_left(table, True, 1, table.size, key=lambda t: t <= value)
+
+
 def simulate_policy(
     inst: InstanceParams, tables: ThresholdTables, trials: int, seed: int
 ) -> SimulationReport:
@@ -371,9 +379,9 @@ def simulate_policy(
     # First step from which each support value is accepted, before/after the
     # constant's slot; the tables are monotone, so "value >= table[k]" is
     # exactly "k >= first crossing", and b's accepted slots lie inside n's.
-    acc_top = _first_crossing(tables.phibar, n), _first_crossing(tables.phi, n)
-    acc_b = _first_crossing(tables.phibar, b), _first_crossing(tables.phi, b)
-    acc_a = _first_crossing(tables.phi, a)
+    acc_top = _sorted_crossing(tables.phibar, n), _sorted_crossing(tables.phi, n)
+    acc_b = _sorted_crossing(tables.phibar, b), _sorted_crossing(tables.phi, b)
+    acc_a = _sorted_crossing(tables.phi, a)
 
     def draw(rng: np.random.Generator, pos_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = _first_success(rng, pos_a, w_top, *acc_top)

@@ -338,15 +338,21 @@ def test_csv_rows_equal_percent_formatting_on_hard_doubles(monkeypatch):
 
 @pytest.mark.parametrize("stride", [1, 7])
 def test_csv_equal_across_block_edges_and_the_cutoff(monkeypatch, stride):
-    block = 600
-    monkeypatch.setattr(dp_module, "_CSV_BLOCK", block)
-    cutoff = dp_module._CSV_MIN_ROWS
-    for rows in (cutoff - 1, cutoff, block - 1, block, block + 1, 3 * block + 1):
+    def check(rows):
         # n with this many rows; for stride 7 the last row is the appended k = n
         n = rows if stride == 1 else 7 * (rows - 2) + 2
         tables = compute_thresholds(_ref_instance(n))
         assert dp_module._curve_rows(tables, stride) == rows
         assert _csv(tables, stride) == _reference_csv(tables, stride), rows
+
+    default = dp_module._CSV_BLOCK
+    for rows in (default - 1, default, default + 1):
+        check(rows)
+    block = 600
+    monkeypatch.setattr(dp_module, "_CSV_BLOCK", block)
+    cutoff = dp_module._CSV_MIN_ROWS
+    for rows in (cutoff - 1, cutoff, block - 1, block, block + 1, 3 * block + 1):
+        check(rows)
 
 
 def test_csv_writer_memory_bounded_by_the_block(monkeypatch):
@@ -367,6 +373,23 @@ def test_csv_writer_memory_bounded_by_the_block(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_csv_writer_scratch_at_the_default_block():
+    # 25 blocks of the default size at n = 10^5 peak near 1.1 MB; blocks of
+    # 2^16 rows peaked at 17.6 MB.
+    class Sink:
+        def write(self, text):
+            pass
+
+    tables = compute_thresholds(_ref_instance(10**5))
+    tracemalloc.start()
+    try:
+        write_threshold_csv(tables, 1, Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 @pytest.mark.parametrize("n, entries", [(10, 6), (3, 9), (0, 1)])

@@ -8,6 +8,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
+from rostop import dp as dp_module
 from rostop import oracle
 from rostop import (
     InfeasibleInstanceError,
@@ -377,6 +378,41 @@ def test_prophet_histogram_memory_follows_the_trial_count():
         tracemalloc.stop()
     assert peak < 2**20
     assert sum(report.stop_histogram.values()) == 10
+
+
+def test_sparse_stop_count_copies_only_steps_and_counts():
+    # The stops go into one int64 array of the trial count, sorted in place;
+    # beyond it the count holds a one-byte run mask and, per distinct stop,
+    # the steps and counts and the report's own copies of them.  Collecting
+    # the batches in a list and concatenating them took 0.8 MB more here.
+    inst, _ = make_instance(*REF_PARAMS, 10**7)
+    trials = 50_000
+    simulate_prophet(inst, trials=10, seed=1)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        report = simulate_prophet(inst, trials=trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    distinct = len(report.stop_histogram)
+    assert distinct > 40_000
+    assert peak < 9 * trials + 32 * distinct + 2**18, (peak, distinct)
+
+
+def test_policy_crossings_bisect_to_the_scan():
+    # On tables nonincreasing on [1, n], with ties and +inf entries, the
+    # bisection finds dp's first crossing at every value, ties included.
+    rng = np.random.default_rng(12)
+    for n in range(1, 40):
+        for tail in (
+            -np.sort(-rng.uniform(0.0, 3.0, n)),
+            np.sort(rng.choice([0.5, 1.24, 2.0, 3.0, np.inf], n))[::-1],
+        ):
+            table = np.concatenate(([np.nan], tail))
+            for value in (*tail.tolist(), 0.0, 1.0, 2.5, float(n), np.inf):
+                assert oracle._sorted_crossing(table, value) == dp_module._first_crossing(
+                    table, value
+                ), (table, value)
 
 
 def test_prophet_simulation_agrees_with_exact_value():
