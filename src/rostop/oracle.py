@@ -90,8 +90,16 @@ class StopHistogram(Mapping[int, int]):
     __slots__ = ("steps", "counts")
 
     def __init__(self, steps: np.ndarray, counts: np.ndarray) -> None:
-        steps = np.array(steps, dtype=np.int64)
-        counts = np.array(counts, dtype=np.int64)
+        self._keep(np.array(steps, dtype=np.int64), np.array(counts, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, steps: np.ndarray, counts: np.ndarray) -> StopHistogram:
+        """The histogram over two fresh arrays that no one else holds, frozen uncopied."""
+        hist = cls.__new__(cls)
+        hist._keep(np.asarray(steps, np.int64), np.asarray(counts, np.int64))
+        return hist
+
+    def _keep(self, steps: np.ndarray, counts: np.ndarray) -> None:
         if steps.ndim != 1 or steps.shape != counts.shape or np.any(steps[1:] <= steps[:-1]):
             raise ValueError("steps must ascend strictly, with one count per step")
         steps.flags.writeable = False
@@ -305,7 +313,7 @@ def _run_batches(
         trials=trials,
         mean=mean,
         std_error=std_error,
-        stop_histogram=StopHistogram(steps, counts),
+        stop_histogram=StopHistogram._adopt(steps, counts),
         seed=seed,
     )
 

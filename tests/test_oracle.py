@@ -399,6 +399,26 @@ def test_sparse_stop_count_copies_only_steps_and_counts():
     assert peak < 9 * trials + 32 * distinct + 2**18, (peak, distinct)
 
 
+def test_sparse_stop_count_keeps_its_arrays_uncopied():
+    # The report keeps the steps and counts the reduction built, frozen in
+    # place: copying them too cost 16 bytes more per distinct stop.
+    inst, _ = make_instance(*REF_PARAMS, 10**7)
+    trials = 50_000
+    simulate_prophet(inst, trials=10, seed=1)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        report = simulate_prophet(inst, trials=trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    distinct = len(report.stop_histogram)
+    assert distinct > 40_000
+    assert peak < 9 * trials + 16 * distinct + 2**18, (peak, distinct)
+    hist = report.stop_histogram
+    assert not hist.steps.flags.writeable and not hist.counts.flags.writeable
+    assert hist == oracle.StopHistogram(hist.steps, hist.counts)
+
+
 def test_policy_crossings_bisect_to_the_scan():
     # On tables nonincreasing on [1, n], with ties and +inf entries, the
     # bisection finds dp's first crossing at every value, ties included.

@@ -1,7 +1,9 @@
 import hashlib
 import io
 import itertools
+import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import rostop.bound
 import rostop.dp as dp_module
+import rostop.sweep as sweep_module
 from rostop import (
     CertificationError,
     ConsistencyError,
@@ -241,6 +244,89 @@ def test_csv_format():
     assert len(first) == 7
     assert first[3] in {"true", "false"}
     assert "\r" not in buf.getvalue()
+
+
+def _reference_sweep_csv(records) -> str:
+    """The sweep CSV written row by row, every value formatted where it is used."""
+    out = io.StringIO()
+    out.write("a,b,p,feasible,failed_conditions,case,M\n")
+    for a, b, p, feasible, failed, case, M in records:
+        m = f"{M:.12g}" if M is not None else ""
+        failed = ";".join(failed)
+        out.write(f"{a:.12g},{b:.12g},{p:.12g},{str(feasible).lower()},{failed},{case or ''},{m}\n")
+    return out.getvalue()
+
+
+def _sweep_csv(records) -> str:
+    buf = io.StringIO()
+    write_sweep_csv(records, buf)
+    return buf.getvalue()
+
+
+def _signed_zero_records():
+    """Both zeros in each coordinate column, in both orders."""
+    records = []
+    for column in range(3):
+        for zeros in ((0.0, -0.0), (-0.0, 0.0)):
+            for z in zeros:
+                point = [0.8, 1.25, 0.45]
+                point[column] = z
+                records.append(SweepRecord(*point, False, ("positivity",), None, None))
+    return records
+
+
+def test_csv_equals_row_by_row_reference_on_the_readme_grid():
+    records = run_sweep(README_GRID)
+    assert _sweep_csv(records) == _reference_sweep_csv(records)
+    # reversed and repeated past two blocks: each block formats its values afresh
+    repeated = records[::-1] * (2 * sweep_module._CHUNK // len(records) + 1)
+    assert len(repeated) > 2 * sweep_module._CHUNK
+    assert _sweep_csv(repeated) == _reference_sweep_csv(repeated)
+
+
+def test_csv_equals_row_by_row_reference_on_hand_built_records():
+    zeros = _signed_zero_records()
+    assert _sweep_csv(zeros) == _reference_sweep_csv(zeros)
+    extremes = [math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300]
+    records = [
+        SweepRecord(x, y, z, True, (), "interior", m)
+        for x, y, z, m in zip(extremes, extremes[1:] + extremes[:1], extremes[::-1], extremes)
+    ] + [
+        SweepRecord(0.8, 1.25, 0.45, True, (), "boundary", -0.0),
+        SweepRecord(0.8, 1.25, 0.45, True, (), "interior", math.nan),
+        SweepRecord(0.8, 1.25, 0.45, False, (), None, None),
+        SweepRecord(0.8, 1.25, 0.45, False, ("log", "positivity"), None, None),
+        SweepRecord(0.8, 1.25, 0.46, False, ("log", "positivity"), None, None),
+        SweepRecord(0.8, 1.25, 0.46, False, ("log",), None, None),
+        SweepRecord(0.8, 1.25, 0.46, False, ("log",), None, None),
+        SweepRecord(0.8, 1.25, 0.46, True, (), "interior", 0.72),
+    ]
+    assert _sweep_csv(records) == _reference_sweep_csv(records)
+    assert _sweep_csv(r for r in records + zeros) == _reference_sweep_csv(records + zeros)
+    assert _sweep_csv([]) == _reference_sweep_csv([]) == "a,b,p,feasible,failed_conditions,case,M\n"
+
+
+def test_csv_writer_memory_is_one_block():
+    # The writer holds one block's rows and texts, whatever the record count:
+    # about 0.54 MB here, against 1.5 MB of text at 30 repeats.
+    class Sink:
+        def write(self, text):
+            pass
+
+    records = run_sweep(README_GRID)
+    text = len(_sweep_csv(records))
+    block_text = text * sweep_module._CHUNK // len(records)
+    peaks = []
+    for repeats in (10, 30):
+        many = records * repeats
+        tracemalloc.start()
+        try:
+            write_sweep_csv(many, Sink())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < block_text, (peaks, block_text)
+    assert peaks[1] < text * 30 / 2, peaks
 
 
 def test_coarse_grid_minimum_near_reference_point():
