@@ -123,7 +123,9 @@ def lambda_mu_star(a: float, b: float, p: float) -> AsymptoticProfile:
 
 # The formulas below check nothing and take ``exp``/``log1p`` as arguments:
 # ``math``'s on the scalar path, libm per element on the bound's numpy lanes,
-# so both evaluate one source and get the same bits.
+# so both evaluate one source and get the same bits.  (The lanes' halvings
+# pass numpy's ``exp`` and let libm decide where its sign is in doubt; see
+# ``bound``.)
 
 
 def _limits(a, b, p, log1p):
@@ -146,21 +148,25 @@ def _q(a, b, p, lam, mu, nu, exp):
     )
 
 
-def _q_prime_terms(a, b, p, lam, nu, exp):
+def _q_prime_factors(a, b, p):
+    """``(u, ib, iba) = (1 + bp, 1/p + b, 1/p + b - a)``: the factors of ``q'``
+    that depend on the point alone, computed once per point."""
+    ib = 1.0 / p + b
+    return 1.0 + b * p, ib, ib - a
+
+
+def _q_prime_terms(a, p, lam, u, ib, iba, nu, exp):
     """``(q1, q1_unsimplified, e1, slope)`` at ``nu``; see :func:`q_derivatives`.
 
-    ``e1`` and ``slope`` are the factors that the higher derivatives share
-    with ``q'`` (:func:`_q_higher_terms`).
+    ``u``, ``ib`` and ``iba`` come from :func:`_q_prime_factors`.  ``e1``
+    and ``slope`` are the factors that the higher derivatives share with
+    ``q'`` (:func:`_q_higher_terms`).
     """
+    c, dl = 1.0 - nu, nu - lam
     e1 = exp(p * (nu - 1.0))
-    slope = (1.0 + b * p) * (nu - lam)
-    q1 = 1.0 - nu + (slope - a) * e1
-    q1_unsimplified = (
-        1.0
-        - nu
-        + ((1.0 / p + b) + slope - a) * e1
-        - (1.0 / p + b - a) * exp(p * (nu - lam))
-    )
+    slope = u * dl
+    q1 = c + (slope - a) * e1
+    q1_unsimplified = c + (ib + slope - a) * e1 - iba * exp(p * dl)
     return q1, q1_unsimplified, e1, slope
 
 
@@ -192,20 +198,22 @@ def q_derivatives(
 
 def _q_derivatives(a, b, p, lam, mu_star, nu):
     """:func:`q_derivatives` given ``mu*``, for callers that already hold it."""
-    q1, e1, slope = _q_prime(a, b, p, lam, mu_star, nu)
+    u, ib, iba = _q_prime_factors(a, b, p)
+    q1, e1, slope = _q_prime(a, p, lam, mu_star, u, ib, iba, nu)
     q2, q3 = _q_higher_terms(a, b, p, e1, slope)
     return q1, q2, q3
 
 
-def _q_prime(a, b, p, lam, mu_star, nu):
+def _q_prime(a, p, lam, mu_star, u, ib, iba, nu):
     """``(q1, e1, slope)``: ``q'`` at ``nu``, checked as :func:`q_derivatives` checks it.
 
-    The bisection reads ``q1`` alone; :func:`_q_derivatives` goes on from
-    the two factors to the higher derivatives.
+    The bisection reads ``q1`` alone, with the point's factors taken once;
+    :func:`_q_derivatives` goes on from ``e1`` and ``slope`` to the higher
+    derivatives.
     """
     if not mu_star <= nu <= lam:
         raise ParameterError(f"nu={nu!r} outside [mu*, lambda*] = [{mu_star!r}, {lam!r}]")
-    q1, q1_unsimplified, e1, slope = _q_prime_terms(a, b, p, lam, nu, math.exp)
+    q1, q1_unsimplified, e1, slope = _q_prime_terms(a, p, lam, u, ib, iba, nu, math.exp)
     if abs(q1 - q1_unsimplified) > 1e-12:
         raise ConsistencyError(
             "simplified and unsimplified q' disagree: "

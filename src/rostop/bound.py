@@ -27,11 +27,14 @@ dominates ``|q(nu_hat) - m|``.
 sweep uses the private batched evaluator :func:`_hardness_bounds`, which
 runs the same steps over numpy arrays of validated points: all lanes bisect
 in lockstep on ``q'`` alone, each stopping on the scalar's own width test.
-The lanes share every formula with the scalar path, so every result equals
-the scalar's bit for bit; they differ only in how a check reports.  Each
-scalar check is a mask over the lanes; if any lane fails one, the first
-such point in input order is re-run through :func:`hardness_bound`, so
-every error is raised, and worded, only there.
+The lanes share every formula with the scalar path and compute every value
+they return with libm, as the scalar does.  The halvings read only the sign
+of ``q'`` and the outcome of its check, and they run on numpy's ``exp``
+behind a guard that hands every lane it cannot decide to libm.  So every
+result equals the scalar's bit for bit; the two paths differ only in how a
+check reports.  Each scalar check is a mask over the lanes; if any lane
+fails one, the first such point in input order is re-run through
+:func:`hardness_bound`, so every error is raised, and worded, only there.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .asymptotics import (
     _q_derivatives,
     _q_higher_terms,
     _q_prime,
+    _q_prime_factors,
     _q_prime_terms,
     lambda_mu_star,
     q_eval,
@@ -215,7 +219,8 @@ def _maximise_q(
     ``log2((lam - mu)/xtol) ~ 42`` halvings suffice at the default
     tolerances.
     """
-    f = lambda nu: _q_prime(a, b, p, lam, mu, nu)[0]
+    u, ib, iba = _q_prime_factors(a, b, p)
+    f = lambda nu: _q_prime(a, p, lam, mu, u, ib, iba, nu)[0]
     q1_hi = f(lam)
     if q1_hi > 0.0:
         raise ConsistencyError(
@@ -305,6 +310,28 @@ def certify(bound: HardnessBound) -> ErrorCertificate:
 # error itself is re-derived by :func:`_raise_first_bad` for the first bad
 # point.  The sweep evaluates ``instance._rows`` on lanes with the same
 # primitives.
+#
+# The halvings of :func:`_maximise_q_lanes` are the exception: they take
+# ``_q_prime_terms`` with numpy's exp (``_fast_exp``), about 35 times cheaper
+# per element than libm's through Python, and they decide exactly what libm
+# would.  A halving reads only the sign of q1 = fl(c + t), with c = 1 - nu
+# and t = (slope - a) e1, and whether |q1 - q1_unsimplified| > 1e-12.  Let
+# _ETA = 2^-48 bound the relative gap between the two exps (a test asserts
+# that numpy's is within _ETA/4 of libm's).  On [mu*, lambda*] both
+# exponentials are at most 1, so |t| <= t_max = u (lambda* - mu*) + a with
+# u = 1 + bp, and the terms of the check add up to at most
+# s_max = 2 + 2 ib + 2 t_max with ib = 1/p + b.  Rounding is monotone, so
+# moving an exp by _ETA moves libm's t from numpy's by about _ETA |t|, and
+# the check's difference by about _ETA s_max, plus a few roundings of each
+# term.  So numpy's sign is libm's wherever |q1| > 4 _ETA t_max, and libm's
+# check passes wherever numpy's difference is below 1e-12 - 4 _ETA s_max;
+# the factor 4 leaves three times the error of the analysis.  Every other
+# running lane is re-evaluated with libm through :func:`_q_prime_lanes`:
+# the last halvings near each root (4.4% of the lane halvings on the README
+# grid), every halving where 4 _ETA s_max >= 1e-12 (p below about 0.03),
+# and any lane with u >= 1e300, where an exp could fall below the smallest
+# normal float (every exp argument lies in [-log(u), 0]).  The bracket
+# ends, ``m``, ``M`` and the certificate stay on libm.
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -314,6 +341,10 @@ def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 _exp = partial(_libm, math.exp)
 _log = partial(_libm, math.log)
 _log1p = partial(_libm, math.log1p)
+# The halvings' exp, and the relative gap to libm's exp that their guard
+# allows: 16 ulps of 1 (see the comment block above).
+_fast_exp = np.exp
+_ETA = 2.0**-48
 
 
 def _pymax(x, y):
@@ -351,7 +382,9 @@ def _q_prime_lanes(a, b, p, lam, mu_star, nu):
     ``[mu*, lambda*]``, or simplified and unsimplified ``q'`` apart by more
     than 1e-12.
     """
-    q1, q1_unsimplified, e1, slope = _q_prime_terms(a, b, p, lam, nu, _exp)
+    q1, q1_unsimplified, e1, slope = _q_prime_terms(
+        a, p, lam, *_q_prime_factors(a, b, p), nu, _exp
+    )
     bad = ~((mu_star <= nu) & (nu <= lam)) | (np.abs(q1 - q1_unsimplified) > 1e-12)
     return q1, e1, slope, bad
 
@@ -368,13 +401,21 @@ def _maximise_q_lanes(a, b, p, lam, mu, xtol, rtol):
 
     Returns ``(nu_hat, m, iterations, nu_error_bound, bad)``; the entries of
     bad lanes are meaningless.  Like the scalar, it evaluates ``q'`` alone.
+    The halvings run on :data:`_fast_exp`, and a lane whose sign or check
+    the guard cannot decide is re-evaluated through :func:`_q_prime_lanes`.
     """
     q1_hi, _, _, bad = _q_prime_lanes(a, b, p, lam, mu, lam)
     q1_lo, _, _, bad_lo = _q_prime_lanes(a, b, p, lam, mu, mu)
     bad |= bad_lo | ~((q1_lo > 0.0) & (0.0 >= q1_hi))
+    # The guard of the halvings on _fast_exp; see the comment block above.
+    u, ib, iba = _q_prime_factors(a, b, p)
+    t_max = u * (lam - mu) + a
+    sign_slack = 4.0 * _ETA * t_max
+    s_max = 2.0 + 2.0 * ib + 2.0 * t_max
+    check_limit = np.where(u < 1e300, 1e-12 - 4.0 * _ETA * s_max, -np.inf)
     # _bisect in lockstep: each lane stops on its own width test, so its
     # halving count is the scalar's; finished and bad lanes stay frozen.
-    lo, hi = mu, lam
+    lo, hi = mu.copy(), lam.copy()
     iterations = np.zeros(a.size, int)
     running = ~bad
     for halvings in range(_MAX_ITER + 1):
@@ -383,12 +424,19 @@ def _maximise_q_lanes(a, b, p, lam, mu, xtol, rtol):
         if not running.any() or halvings == _MAX_ITER:
             break
         iterations += running
-        q1, _, _, bad_mid = _q_prime_lanes(a, b, p, lam, mu, mid)
-        bad |= running & bad_mid
-        running &= ~bad
+        q1, q1_unsimplified, _, _ = _q_prime_terms(a, p, lam, u, ib, iba, mid, _fast_exp)
+        sure = (np.abs(q1) > sign_slack) & (np.abs(q1 - q1_unsimplified) < check_limit)
+        sure &= (mu <= mid) & (mid <= lam)  # the scalar's range check needs no exp
+        doubt = np.flatnonzero(running & ~sure)
+        if doubt.size:
+            q1[doubt], _, _, bad_mid = _q_prime_lanes(
+                a[doubt], b[doubt], p[doubt], lam[doubt], mu[doubt], mid[doubt]
+            )
+            failed = doubt[bad_mid]
+            bad[failed], running[failed] = True, False
         up = q1 > 0.0
-        lo = np.where(running & up, mid, lo)
-        hi = np.where(running & ~up, mid, hi)
+        np.copyto(lo, mid, where=running & up)
+        np.copyto(hi, mid, where=running & ~up)
     bad |= running  # the iteration budget is spent
     return mid, _q(a, b, p, lam, mu, mid, _exp), iterations, 0.5 * (hi - lo), bad
 

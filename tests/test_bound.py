@@ -191,6 +191,18 @@ def test_batched_lanes_match_scalar():
         )
 
 
+def test_numpy_exp_is_within_a_quarter_of_the_halvings_allowance_of_libm():
+    # The lanes' halvings take the sign of q' and its 1e-12 check from numpy's
+    # exp, guarded for a relative gap of up to _ETA to libm's exp; a numpy
+    # build whose exp strays further would void the guard, so it fails here.
+    # The lanes' exp arguments lie in [-log(1 + bp), 0]: [-2, 0] on the
+    # README grid, and the tail covers larger p.
+    rng = np.random.default_rng(41)
+    x = np.concatenate([rng.uniform(-2.0, 0.0, 10**5), -np.geomspace(2.0, 700.0, 10**4)])
+    libm = np.fromiter(map(math.exp, x.tolist()), float, x.size)
+    assert np.all(np.abs(np.exp(x) - libm) <= rostop.bound._ETA / 4 * libm)
+
+
 def test_batched_iteration_budget_flags_every_interior_lane():
     # With zero tolerances the width test never passes: the bracket stalls at
     # adjacent floats, so the scalar spends its budget and so must each lane.

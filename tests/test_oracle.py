@@ -342,6 +342,20 @@ def test_policy_rejects_non_monotone_tables():
         simulate_policy(inst, ThresholdTables(n=20, phi=tables.phi, phibar=rising), 10, 1)
 
 
+def test_policy_monotonicity_checks_hold_one_tile_of_mask(ref_dp):
+    # Both tables are checked a few tiles at a time: one n-byte mask per
+    # table made the peak of a one-trial call 1 MB at n = 10^6.
+    inst, tables, _ = ref_dp.get(10**6)
+    simulate_policy(inst, tables, trials=1, seed=1)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        simulate_policy(inst, tables, trials=1, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**17, peak
+
+
 def test_prophet_stop_law_matches_exact_enumeration():
     # n=3: 4 constant positions x 27 value sequences give the exact law of
     # the maximum and of the slot of its first occurrence.

@@ -168,6 +168,39 @@ def test_batched_bounds_equal_scalar(spec, feasible):
         assert column.tolist() == [getattr(hb, field) for hb in scalar], field
 
 
+_ULP = 2.0**-52
+
+
+def _exp_off_by_random_8_ulps(x):
+    # The sign drawn per element, so the two exps of one halving can move apart.
+    signs = np.random.default_rng(x.size).choice([-1.0, 1.0], x.size)
+    return np.exp(x) * (1.0 + 8 * _ULP * signs)
+
+
+@pytest.mark.parametrize(
+    "fast_exp",
+    [
+        pytest.param(lambda x: np.exp(x) * (1.0 + 8 * _ULP), id="plus-8-ulps"),
+        pytest.param(lambda x: np.exp(x) * (1.0 - 8 * _ULP), id="minus-8-ulps"),
+        pytest.param(_exp_off_by_random_8_ulps, id="random-8-ulps"),
+        pytest.param(lambda x: np.full_like(x, np.nan), id="nan"),
+    ],
+)
+def test_halvings_keep_libm_bits_on_a_perturbed_exp(monkeypatch, fast_exp):
+    # The halvings run on bound._fast_exp, and the guard hands every lane
+    # whose sign or 1e-12 check it cannot prove to libm.  An exp 8 ulps off
+    # numpy's stays inside the guard's allowance, so every record and field
+    # keeps its bits; a NaN exp puts every lane in doubt.
+    records = run_sweep(README_GRID)
+    points = [(r.a, r.b, r.p) for r in records if r.feasible]
+    scalar = [hardness_bound(*pt) for pt in points]
+    monkeypatch.setattr(rostop.bound, "_fast_exp", fast_exp)
+    assert run_sweep(README_GRID) == records
+    batched = _hardness_bounds(*np.array(points).T)
+    for field, column in batched.items():
+        assert column.tolist() == [getattr(hb, field) for hb in scalar], field
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_chunked_sweep_equals_unchunked(monkeypatch, chunk):
     # Chunk size 1 leaves some batched calls with no feasible point at all.
