@@ -328,10 +328,20 @@ def certify(bound: HardnessBound) -> ErrorCertificate:
 # the factor 4 leaves three times the error of the analysis.  Every other
 # running lane is re-evaluated with libm through :func:`_q_prime_lanes`:
 # the last halvings near each root (4.4% of the lane halvings on the README
-# grid), every halving where 4 _ETA s_max >= 1e-12 (p below about 0.03),
-# and any lane with u >= 1e300, where an exp could fall below the smallest
-# normal float (every exp argument lies in [-log(u), 0]).  The bracket
-# ends, ``m``, ``M`` and the certificate stay on libm.
+# grid), and every halving of a lane the guard can never decide: one where
+# 4 _ETA s_max >= 1e-12 (p below about 0.03), or where u >= 1e300 and an
+# exp could fall below the smallest normal float (every exp argument lies
+# in [-log(u), 0]).  A halving with no decidable lane left running skips
+# the numpy pass, whose every result would go to libm, and evaluates all
+# lanes with libm without gathering them.  The bracket ends, ``m``, ``M``
+# and the certificate stay on libm.
+#
+# The allowance _ETA is a measured premise, not a proven one: IEEE leaves
+# exp's rounding free, and numpy picks its SIMD exp kernel by CPU.  The
+# premise test samples [-0.6, 0], [-2, 0] and [-700, -2]; on numpy 2.4.6
+# with the AVX-512 kernels of an x86-64 Xeon, numpy's exp stays within 1 ulp
+# of libm's there, a 16th of _ETA.  A platform whose numpy exp strays
+# further fails that test.
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -413,6 +423,7 @@ def _maximise_q_lanes(a, b, p, lam, mu, xtol, rtol):
     sign_slack = 4.0 * _ETA * t_max
     s_max = 2.0 + 2.0 * ib + 2.0 * t_max
     check_limit = np.where(u < 1e300, 1e-12 - 4.0 * _ETA * s_max, -np.inf)
+    decidable = check_limit > 0.0  # lanes whose check the guard can ever pass
     # _bisect in lockstep: each lane stops on its own width test, so its
     # halving count is the scalar's; finished and bad lanes stay frozen.
     lo, hi = mu.copy(), lam.copy()
@@ -424,16 +435,21 @@ def _maximise_q_lanes(a, b, p, lam, mu, xtol, rtol):
         if not running.any() or halvings == _MAX_ITER:
             break
         iterations += running
-        q1, q1_unsimplified, _, _ = _q_prime_terms(a, p, lam, u, ib, iba, mid, _fast_exp)
-        sure = (np.abs(q1) > sign_slack) & (np.abs(q1 - q1_unsimplified) < check_limit)
-        sure &= (mu <= mid) & (mid <= lam)  # the scalar's range check needs no exp
-        doubt = np.flatnonzero(running & ~sure)
-        if doubt.size:
-            q1[doubt], _, _, bad_mid = _q_prime_lanes(
-                a[doubt], b[doubt], p[doubt], lam[doubt], mu[doubt], mid[doubt]
-            )
-            failed = doubt[bad_mid]
-            bad[failed], running[failed] = True, False
+        if not (running & decidable).any():  # nothing for _fast_exp to decide
+            q1, _, _, bad_mid = _q_prime_lanes(a, b, p, lam, mu, mid)
+            bad |= running & bad_mid
+            running &= ~bad
+        else:
+            q1, q1_unsimplified, _, _ = _q_prime_terms(a, p, lam, u, ib, iba, mid, _fast_exp)
+            sure = (np.abs(q1) > sign_slack) & (np.abs(q1 - q1_unsimplified) < check_limit)
+            sure &= (mu <= mid) & (mid <= lam)  # the scalar's range check needs no exp
+            doubt = np.flatnonzero(running & ~sure)
+            if doubt.size:
+                q1[doubt], _, _, bad_mid = _q_prime_lanes(
+                    a[doubt], b[doubt], p[doubt], lam[doubt], mu[doubt], mid[doubt]
+                )
+                failed = doubt[bad_mid]
+                bad[failed], running[failed] = True, False
         up = q1 > 0.0
         np.copyto(lo, mid, where=running & up)
         np.copyto(hi, mid, where=running & ~up)

@@ -201,6 +201,24 @@ def test_halvings_keep_libm_bits_on_a_perturbed_exp(monkeypatch, fast_exp):
         assert column.tolist() == [getattr(hb, field) for hb in scalar], field
 
 
+def test_small_p_sweep_skips_the_numpy_pass(monkeypatch):
+    # Below p of about 0.03 the guard can decide no lane's 1e-12 check, so
+    # the halvings must not call bound._fast_exp at all; every lane runs on
+    # libm and keeps hardness_bound's bits.
+    grid = SweepSpec(a=(0.55, 0.65, 0.05), b=(1.0001, 1.0051, 0.001), p=(0.005, 0.025, 0.01))
+
+    def no_fast_exp(x):
+        raise AssertionError("numpy pass at small p")
+
+    monkeypatch.setattr(rostop.bound, "_fast_exp", no_fast_exp)
+    points = [(r.a, r.b, r.p) for r in run_sweep(grid) if r.feasible]
+    assert len(points) >= 10
+    scalar = [hardness_bound(*pt) for pt in points]
+    batched = _hardness_bounds(*np.array(points).T)
+    for field, column in batched.items():
+        assert column.tolist() == [getattr(hb, field) for hb in scalar], field
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_chunked_sweep_equals_unchunked(monkeypatch, chunk):
     # Chunk size 1 leaves some batched calls with no feasible point at all.
