@@ -21,7 +21,6 @@ from .dp import (
     compute_thresholds,
     gambler_prophet_ratio,
     optimal_value,
-    phi_closed_form,
     write_threshold_csv,
 )
 from .prophet import prophet_exact, prophet_limit
@@ -29,12 +28,8 @@ from .asymptotics import (
     AsymptoticProfile,
     DiagnosticCheck,
     DiagnosticsReport,
-    OrderingError,
-    conditional_expectation_asymptotic,
     k_star,
     lambda_mu_star,
-    partial_sums,
-    q_derivatives,
     q_eval,
     verify_bound_sandwich,
 )
@@ -48,11 +43,9 @@ from .bound import (
     hardness_bound,
 )
 from .oracle import (
-    HistoryValue,
     OracleSizeError,
     SimulationReport,
     exhaustive_optimal_value,
-    history_values,
     simulate_policy,
     simulate_prophet,
 )

@@ -6,10 +6,8 @@ Contents:
   ``j_n/n`` and ``k_n/n``;
 * the exponential quadratic ``q(lambda, mu, nu)`` whose maximum over
   ``nu in [mu*, lambda*]`` yields the hardness bound, together with its
-  first three derivatives in ``nu`` (after substituting ``lambda = lambda*``);
-* the large-size conditional expectations of the stopped value given the
-  arrival position of the constant, and the four segment sums whose total
-  telescopes exactly to ``q``;
+  first three derivatives in ``nu`` (after substituting ``lambda = lambda*``),
+  which the bound's bisection and certificate read;
 * the index ``k*`` and the finite-size sandwich diagnostics: an iterative
   lower bound on ``phibar`` from step ``k_n - 1`` on, and the linear upper
   bound ``a + (n-k)/2 * (1+(b-a)p)/n`` from step ``j_n`` on.
@@ -45,12 +43,8 @@ __all__ = [
     "AsymptoticProfile",
     "DiagnosticCheck",
     "DiagnosticsReport",
-    "OrderingError",
     "lambda_mu_star",
     "q_eval",
-    "q_derivatives",
-    "conditional_expectation_asymptotic",
-    "partial_sums",
     "k_star",
     "verify_bound_sandwich",
 ]
@@ -58,10 +52,6 @@ __all__ = [
 # Float-noise allowance for sandwich sign checks; covers ~n*2^-52 recursion
 # drift up to n ~ 10^7 with an order of magnitude to spare.
 SIGN_TOLERANCE = 1e-9
-
-
-class OrderingError(ValueError):
-    """Acceptance times violate k_n <= kbar_n <= j_n, so the case split is invalid."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +146,7 @@ def _q_prime_factors(a, b, p):
 
 
 def _q_prime_terms(a, p, lam, u, ib, iba, nu, exp):
-    """``(q1, q1_unsimplified, e1, slope)`` at ``nu``; see :func:`q_derivatives`.
+    """``(q1, q1_unsimplified, e1, slope)`` at ``nu``; see :func:`_q_prime`.
 
     ``u``, ``ib`` and ``iba`` come from :func:`_q_prime_factors`.  ``e1``
     and ``slope`` are the factors that the higher derivatives share with
@@ -182,22 +172,9 @@ def q_eval(a: float, b: float, p: float, lam: float, mu: float, nu: float) -> fl
     return _q(a, b, p, lam, mu, nu, math.exp)
 
 
-def q_derivatives(
-    a: float, b: float, p: float, lambda_star: float, nu: float
-) -> tuple[float, float, float]:
-    """First three nu-derivatives of ``q(lambda*, mu*, nu)`` on ``[mu*, lambda*]``.
-
-    The simplified forms absorb the identity
-    ``(1/p + b - a) e^{p(nu - lambda*)} = (1/p + b) e^{p(nu - 1)}``, which
-    holds only at the true ``lambda*``; every call re-evaluates the
-    unsimplified derivative and raises :class:`ConsistencyError` if the two
-    disagree beyond 1e-12, so a wrong ``lambda_star`` cannot pass silently.
-    """
-    return _q_derivatives(a, b, p, lambda_star, _limits(a, b, p, math.log1p)[1], nu)
-
-
 def _q_derivatives(a, b, p, lam, mu_star, nu):
-    """:func:`q_derivatives` given ``mu*``, for callers that already hold it."""
+    """First three nu-derivatives of ``q(lam, mu*, nu)`` at ``nu in [mu*, lam]``,
+    ``q'`` checked as :func:`_q_prime` checks it."""
     u, ib, iba = _q_prime_factors(a, b, p)
     q1, e1, slope = _q_prime(a, p, lam, mu_star, u, ib, iba, nu)
     q2, q3 = _q_higher_terms(a, b, p, e1, slope)
@@ -205,7 +182,14 @@ def _q_derivatives(a, b, p, lam, mu_star, nu):
 
 
 def _q_prime(a, p, lam, mu_star, u, ib, iba, nu):
-    """``(q1, e1, slope)``: ``q'`` at ``nu``, checked as :func:`q_derivatives` checks it.
+    """``(q1, e1, slope)``: ``q'`` at ``nu``, checked against its unsimplified form.
+
+    The simplified ``q'`` absorbs the identity
+    ``(1/p + b - a) e^{p(nu - lambda*)} = (1/p + b) e^{p(nu - 1)}``, which
+    holds only at the true ``lambda*``; every call re-evaluates the
+    unsimplified derivative and raises :class:`ConsistencyError` if the two
+    disagree beyond 1e-12, so a wrong ``lam`` cannot pass silently.  A ``nu``
+    outside ``[mu_star, lam]`` raises :class:`ParameterError`.
 
     The bisection reads ``q1`` alone, with the point's factors taken once;
     :func:`_q_derivatives` goes on from ``e1`` and ``slope`` to the higher
@@ -223,94 +207,26 @@ def _q_prime(a, p, lam, mu_star, u, ib, iba, nu):
 
 
 def _require_matching_times(inst: InstanceParams, times: AcceptanceTimes) -> None:
-    # Times read off tables of another size would place the breakpoints wrongly.
+    # Times read off tables of another size would misplace the sandwich's index ranges.
     if times.n != inst.n:
         raise ValueError(
             f"acceptance times do not match the instance: times.n={times.n}, instance n={inst.n}"
         )
 
 
-def _require_ordering(times: AcceptanceTimes) -> None:
-    if not times.k_n <= times.kbar_n <= times.j_n:
-        raise OrderingError(
-            f"need k_n <= kbar_n <= j_n, got ({times.k_n}, {times.kbar_n}, {times.j_n})"
-        )
-
-
-def conditional_expectation_asymptotic(
-    inst: InstanceParams, times: AcceptanceTimes, i: int
-) -> float:
-    """Large-size ``E[stopped value | constant arrives at position i]``.
-
-    Piecewise in ``i`` with breakpoints at ``k_n``, ``kbar_n`` and ``j_n``;
-    all O(1/n) corrections are dropped.  Requires the eventual ordering
-    ``k_n <= kbar_n <= j_n``.
-    """
-    _require_matching_times(inst, times)
-    _require_ordering(times)
-    n = inst.n
-    if not 1 <= i <= n + 1:
-        raise IndexError(f"position {i} out of range [1, {n + 1}]")
-    a, b, p = inst.a, inst.b, inst.p
-    ib = 1.0 / p + b
-    mu, nu = times.mu_n, times.nu_n
-    if i < times.k_n:
-        return mu + ib * (1.0 - math.exp(p * (mu - 1.0)))
-    if i < times.kbar_n:
-        x = i / n
-        return x + ib * (1.0 - math.exp(p * (x - 1.0)))
-    if i < times.j_n:
-        return nu + ib * (1.0 - math.exp(p * (nu - 1.0)))
-    e = math.exp(p * (nu - i / n))
-    return nu + ib * (1.0 - e) + a * e
-
-
-def partial_sums(
-    inst: InstanceParams, times: AcceptanceTimes
-) -> tuple[float, float, float, float]:
-    """Asymptotic values of the four position segments of the total expectation.
-
-    Segments: positions before ``k_n``, in ``[k_n, kbar_n)``, in
-    ``[kbar_n, j_n)`` and from ``j_n`` on (empty-sum convention: an empty
-    segment contributes exactly 0).  Their sum telescopes algebraically to
-    ``q(lambda_n, mu_n, nu_n)``; this identity is re-verified on every call
-    to 1e-10 and a violation raises :class:`ConsistencyError`.
-    """
-    _require_matching_times(inst, times)
-    _require_ordering(times)
-    a, b, p = inst.a, inst.b, inst.p
-    ib = 1.0 / p + b
-    lam, mu, nu = times.lambda_n, times.mu_n, times.nu_n
-
-    s1 = mu * mu + mu * ib * (1.0 - math.exp(p * (mu - 1.0)))
-    s2 = (
-        nu * nu / 2.0
-        - mu * mu / 2.0
-        + ib * (nu - mu)
-        - (math.exp(-p) / p) * ib * (math.exp(p * nu) - math.exp(p * mu))
-    )
-    s3 = -nu * nu + lam * nu + (lam - nu) * ib * (1.0 - math.exp(p * (nu - 1.0)))
-    s4 = (
-        -lam * nu
-        + nu
-        + ib * (1.0 - lam)
-        - (1.0 / p) * (ib - a) * (math.exp(-p * (lam - nu)) - math.exp(-p * (1.0 - nu)))
-    )
-
-    total = s1 + s2 + s3 + s4
-    q = q_eval(a, b, p, lam, mu, nu)
-    if abs(total - q) > 1e-10:
-        raise ConsistencyError(f"segment total {total!r} != q {q!r}")
-    return s1, s2, s3, s4
-
-
 def k_star(a: float, b: float, p: float, n: int) -> int:
     """``ceil(n * (1-(2-p)(b-a)) / (1+p(b-a)))``: first index where the upper
-    bound on ``phibar`` falls to ``b``.  Positivity needs condition II."""
+    bound on ``phibar`` falls to ``b``.  Positivity needs condition II, so
+    without it this raises :class:`ParameterError`."""
     if not (2.0 - p) * (b - a) < 1.0:
         raise ParameterError(
             f"condition II fails: (2-p)(b-a) = {(2.0 - p) * (b - a)!r} >= 1"
         )
+    return _k_star(a, b, p, n)
+
+
+def _k_star(a, b, p, n):
+    """:func:`k_star`'s formula without its gate: at most 0 where condition II fails."""
     return math.ceil(n * (1.0 - (2.0 - p) * (b - a)) / (1.0 + p * (b - a)))
 
 
@@ -362,7 +278,10 @@ def verify_bound_sandwich(
     :func:`~rostop.instance.validate` does not imply ``kbar_n <= k*``: at the
     feasible point ``(0.75, 1.28, 0.48)``, ``kbar_n/n`` tends to ``nu* =
     0.159265``, above the limit 0.154975 of ``k*/n``, so ``ordering`` fails
-    at every size (margin -43 at n = 10^4, -4290 at n = 10^6).
+    at every size (margin -43 at n = 10^4, -4290 at n = 10^6).  ``k*`` is
+    :func:`k_star`'s formula without its condition II gate, so a real law
+    that fails condition II gets all four checks too: there ``k* <= 0`` and
+    ``ordering`` fails with its margin.
     """
     _require_matching_tables(inst, tables)
     _require_matching_times(inst, times)
@@ -407,7 +326,7 @@ def verify_bound_sandwich(
         )
     )
 
-    ks_val = k_star(a, b, p, n)
+    ks_val = _k_star(a, b, p, n)
     order_margin = float(min(times.kbar_n - times.k_n, ks_val - times.kbar_n))
     checks.append(
         DiagnosticCheck("ordering", times.k_n, ks_val, order_margin, order_margin >= 0.0)

@@ -9,9 +9,9 @@ validate/bound), 2 usage error (including ``b >= n``, seeds outside
 ``dp.MAX_TABLE_N`` where tables are built) or a numerical check that fails at a
 feasible point (``ConsistencyError``, ``CertificationError``), reported on one ``error:`` line.
 Parameters may come from flags or from a flat key-value config file
-(``--config``; keys a, b, p, n only, n integral; ``key = value`` lines,
-``#`` comments); flags win over the file.  All outputs are deterministic
-given the flags.
+(``--config``; keys a, b, p, n only, n an integer as ``--n`` parses it;
+``key = value`` lines, ``#`` comments); flags win over the file.  All
+outputs are deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -69,12 +69,13 @@ def _read_config(path: str) -> dict[str, float]:
         key, val = key.strip(), val.strip()
         if key not in ("a", "b", "p", "n"):
             raise ValueError(f"unknown config key {key!r} (expected one of a, b, p, n)")
-        value = float(val)
-        if key == "n":
-            if not value.is_integer():
-                raise ValueError(f"config n must be an integer, got {val!r}")
-            value = int(value)
-        values[key] = value
+        if key == "n":  # int(), as --n: through a float, 10^17 + 1 would round
+            try:
+                values[key] = int(val)
+            except ValueError:
+                raise ValueError(f"config n must be an integer, got {val!r}") from None
+        else:
+            values[key] = float(val)
     return values
 
 

@@ -66,7 +66,6 @@ __all__ = [
     "compute_thresholds",
     "acceptance_times",
     "optimal_value",
-    "phi_closed_form",
     "gambler_prophet_ratio",
     "write_threshold_csv",
 ]
@@ -339,24 +338,6 @@ def optimal_value(inst: InstanceParams, tables: ThresholdTables) -> float:
     if not math.isfinite(value):
         raise ValueError(f"tables carry no optimal value: phibar[0] = {value!r}")
     return value
-
-
-def phi_closed_form(inst: InstanceParams, i: int) -> float:
-    """O(1) geometric closed form of ``phi[i]``, as the backward pass evaluates it.
-
-    Valid as an identity for the recursion wherever every step below ``i``
-    compares ``b`` against a future reward not exceeding ``b``; that holds on
-    ``i >= k_n``.  Below ``k_n`` the value is the derivation's extrapolation
-    only, not the recursion.
-    """
-    n = inst.n
-    if not 1 <= i <= n:
-        raise IndexError(f"index {i} out of range [1, {n}]")
-    law = inst.distribution()
-    if i == n:
-        return law.mean  # single-term sum, exact
-    w_top, w_mid, _ = law.masses
-    return float(_geometric(law.mean, w_mid + w_top, n - i + 1))
 
 
 def gambler_prophet_ratio(inst: InstanceParams, tables: ThresholdTables) -> float:

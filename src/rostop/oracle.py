@@ -51,10 +51,8 @@ __all__ = [
     "MAX_ORACLE_SIZE",
     "TRIALS_PER_BATCH",
     "OracleSizeError",
-    "HistoryValue",
     "SimulationReport",
     "StopHistogram",
-    "history_values",
     "exhaustive_optimal_value",
     "simulate_policy",
     "simulate_prophet",
@@ -67,15 +65,6 @@ TRIALS_PER_BATCH = 4096
 
 class OracleSizeError(ValueError):
     """Exhaustive enumeration refused: instance too large."""
-
-
-@dataclass(frozen=True)
-class HistoryValue:
-    """Continuation value after observing ``history`` (depth = len(history))."""
-
-    history: tuple[float, ...]
-    gamma: float
-    depth: int
 
 
 class StopHistogram(Mapping[int, int]):
@@ -228,13 +217,6 @@ def _assert_collapse(table: dict[tuple[float, ...], float], a: float) -> None:
                 f"history collapse violated at depth {key[0]} (constant seen={key[1]}): "
                 f"{val!r} != {ref!r}"
             )
-
-
-def history_values(inst: InstanceParams) -> tuple[HistoryValue, ...]:
-    """All continuation values, ordered by (depth, history)."""
-    table = _continuation_table(inst)
-    items = sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return tuple(HistoryValue(history=h, gamma=v, depth=len(h)) for h, v in items)
 
 
 def exhaustive_optimal_value(inst: InstanceParams) -> float:

@@ -18,13 +18,11 @@ from rostop import (
     exhaustive_optimal_value,
     gambler_prophet_ratio,
     hardness_bound,
-    history_values,
     lambda_mu_star,
     make_instance,
     optimal_value,
     prophet_exact,
     prophet_limit,
-    q_derivatives,
     q_eval,
     run_sweep,
     simulate_policy,
@@ -32,6 +30,8 @@ from rostop import (
     verify_bound_sandwich,
     write_sweep_csv,
 )
+from rostop.asymptotics import _q_derivatives
+from rostop.oracle import _continuation_table
 from rostop.sweep import SweepSpec
 
 from conftest import REF_PARAMS, PERTURBED
@@ -110,9 +110,9 @@ def test_criterion_05_oracle_equivalence():
         worst = max(worst, abs(exhaustive_optimal_value(inst) - dp_value))
         # exact collapse of the history table onto (depth, constant-seen)
         classes = {}
-        for hv in history_values(inst):
-            key = (hv.depth, a in hv.history)
-            classes.setdefault(key, set()).add(hv.gamma)
+        for history, gamma in _continuation_table(inst).items():
+            key = (len(history), a in history)
+            classes.setdefault(key, set()).add(gamma)
         assert all(len(v) == 1 for v in classes.values())
     ok = worst <= 1e-12
     _report(5, ok, f"max |exhaustive - dp| = {worst:.2e} over 4 points x n=1..6")
@@ -190,13 +190,13 @@ def test_criterion_10_derivative_checks():
             q_eval(a, b, p, prof.lambda_star, prof.mu_star, nu + h)
             - q_eval(a, b, p, prof.lambda_star, prof.mu_star, nu - h)
         ) / (2.0 * h)
-        q1 = q_derivatives(a, b, p, prof.lambda_star, nu)[0]
+        q1 = _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, nu)[0]
         worst_rel = max(worst_rel, abs(fd - q1) / max(abs(q1), abs(fd)))
     q3_ok = all(
-        q_derivatives(a, b, p, prof.lambda_star, float(nu))[2] > 0.0
+        _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, float(nu))[2] > 0.0
         for nu in np.linspace(prof.mu_star, prof.lambda_star, 1000)
     )
-    q1_lam = q_derivatives(a, b, p, prof.lambda_star, prof.lambda_star)[0]
+    q1_lam = _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, prof.lambda_star)[0]
     ok = worst_rel <= 1e-6 and q3_ok and q1_lam <= 0.0
     _report(
         10, ok,

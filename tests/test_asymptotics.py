@@ -10,19 +10,16 @@ from rostop import (
     compute_thresholds,
     ConsistencyError,
     InfeasibleInstanceError,
-    OrderingError,
     ParameterError,
-    conditional_expectation_asymptotic,
     k_star,
     lambda_mu_star,
     make_instance,
     optimal_value,
-    partial_sums,
-    q_derivatives,
     q_eval,
     validate,
     verify_bound_sandwich,
 )
+from rostop.asymptotics import _q_derivatives
 
 from conftest import PERTURBED, REF_PARAMS, tail_sums
 
@@ -31,6 +28,76 @@ NU_STAR_12_DIGITS = 0.211231196923
 
 def _profile():
     return lambda_mu_star(*REF_PARAMS)
+
+
+def _require_ordering(times):
+    if not times.k_n <= times.kbar_n <= times.j_n:
+        raise ValueError(
+            f"need k_n <= kbar_n <= j_n, got ({times.k_n}, {times.kbar_n}, {times.j_n})"
+        )
+
+
+def _conditional_expectation_asymptotic(inst, times, i):
+    """The paper's large-size ``E[stopped value | constant arrives at position i]``.
+
+    Piecewise in ``i`` with breakpoints at ``k_n``, ``kbar_n`` and ``j_n``;
+    all O(1/n) corrections are dropped.  Requires the eventual ordering
+    ``k_n <= kbar_n <= j_n``.  Averaged over the positions it is a reference
+    for the optimal value that shares no arithmetic with the backward pass.
+    """
+    _require_ordering(times)
+    n = inst.n
+    if not 1 <= i <= n + 1:
+        raise IndexError(f"position {i} out of range [1, {n + 1}]")
+    a, b, p = inst.a, inst.b, inst.p
+    ib = 1.0 / p + b
+    mu, nu = times.mu_n, times.nu_n
+    if i < times.k_n:
+        return mu + ib * (1.0 - math.exp(p * (mu - 1.0)))
+    if i < times.kbar_n:
+        x = i / n
+        return x + ib * (1.0 - math.exp(p * (x - 1.0)))
+    if i < times.j_n:
+        return nu + ib * (1.0 - math.exp(p * (nu - 1.0)))
+    e = math.exp(p * (nu - i / n))
+    return nu + ib * (1.0 - e) + a * e
+
+
+def _partial_sums(inst, times):
+    """The paper's asymptotic values of the four position segments of the total expectation.
+
+    Segments: positions before ``k_n``, in ``[k_n, kbar_n)``, in
+    ``[kbar_n, j_n)`` and from ``j_n`` on (empty-sum convention: an empty
+    segment contributes exactly 0).  Their sum telescopes algebraically to
+    ``q(lambda_n, mu_n, nu_n)``, which makes them the reference for
+    ``q_eval``; every call re-checks the identity to 1e-10 and a violation
+    raises :class:`ConsistencyError`.
+    """
+    _require_ordering(times)
+    a, b, p = inst.a, inst.b, inst.p
+    ib = 1.0 / p + b
+    lam, mu, nu = times.lambda_n, times.mu_n, times.nu_n
+
+    s1 = mu * mu + mu * ib * (1.0 - math.exp(p * (mu - 1.0)))
+    s2 = (
+        nu * nu / 2.0
+        - mu * mu / 2.0
+        + ib * (nu - mu)
+        - (math.exp(-p) / p) * ib * (math.exp(p * nu) - math.exp(p * mu))
+    )
+    s3 = -nu * nu + lam * nu + (lam - nu) * ib * (1.0 - math.exp(p * (nu - 1.0)))
+    s4 = (
+        -lam * nu
+        + nu
+        + ib * (1.0 - lam)
+        - (1.0 / p) * (ib - a) * (math.exp(-p * (lam - nu)) - math.exp(-p * (1.0 - nu)))
+    )
+
+    total = s1 + s2 + s3 + s4
+    q = q_eval(a, b, p, lam, mu, nu)
+    if abs(total - q) > 1e-10:
+        raise ConsistencyError(f"segment total {total!r} != q {q!r}")
+    return s1, s2, s3, s4
 
 
 def test_limit_values():
@@ -61,20 +128,21 @@ def test_infeasible_parameters_rejected():
 
 def test_qprime_vanishes_at_certified_root():
     prof = _profile()
-    q1, _, _ = q_derivatives(*REF_PARAMS, prof.lambda_star, NU_STAR_12_DIGITS)
+    q1, _, _ = _q_derivatives(*REF_PARAMS, prof.lambda_star, prof.mu_star, NU_STAR_12_DIGITS)
     assert abs(q1) < 1e-12
 
 
 def test_qprime_signs_at_endpoints():
     prof = _profile()
-    assert q_derivatives(*REF_PARAMS, prof.lambda_star, prof.lambda_star)[0] <= 0.0
-    assert q_derivatives(*REF_PARAMS, prof.lambda_star, prof.mu_star)[0] > 0.0
+    lam, mu = prof.lambda_star, prof.mu_star
+    assert _q_derivatives(*REF_PARAMS, lam, mu, lam)[0] <= 0.0
+    assert _q_derivatives(*REF_PARAMS, lam, mu, mu)[0] > 0.0
 
 
 def test_third_derivative_positive_on_grid():
     prof = _profile()
     for nu in np.linspace(prof.mu_star, prof.lambda_star, 1000):
-        assert q_derivatives(*REF_PARAMS, prof.lambda_star, float(nu))[2] > 0.0
+        assert _q_derivatives(*REF_PARAMS, prof.lambda_star, prof.mu_star, float(nu))[2] > 0.0
 
 
 def test_first_derivative_matches_finite_differences():
@@ -88,7 +156,7 @@ def test_first_derivative_matches_finite_differences():
             q_eval(a, b, p, prof.lambda_star, prof.mu_star, nu + h)
             - q_eval(a, b, p, prof.lambda_star, prof.mu_star, nu - h)
         ) / (2.0 * h)
-        q1 = q_derivatives(a, b, p, prof.lambda_star, nu)[0]
+        q1 = _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, nu)[0]
         assert abs(fd - q1) <= 1e-6 * max(abs(q1), abs(fd))
 
 
@@ -99,10 +167,10 @@ def test_second_derivative_matches_differences_of_first():
     for nu in np.linspace(prof.mu_star + h, prof.lambda_star - h, 101):
         nu = float(nu)
         fd = (
-            q_derivatives(a, b, p, prof.lambda_star, nu + h)[0]
-            - q_derivatives(a, b, p, prof.lambda_star, nu - h)[0]
+            _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, nu + h)[0]
+            - _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, nu - h)[0]
         ) / (2.0 * h)
-        q2 = q_derivatives(a, b, p, prof.lambda_star, nu)[1]
+        q2 = _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, nu)[1]
         assert abs(fd - q2) <= 1e-6 * abs(q2)
 
 
@@ -114,9 +182,9 @@ def test_qprime_convexity_via_finite_differences():
     for nu in np.linspace(prof.mu_star + h, prof.lambda_star - h, 1000):
         nu = float(nu)
         second = (
-            q_derivatives(a, b, p, prof.lambda_star, nu + h)[0]
-            - 2.0 * q_derivatives(a, b, p, prof.lambda_star, nu)[0]
-            + q_derivatives(a, b, p, prof.lambda_star, nu - h)[0]
+            _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, nu + h)[0]
+            - 2.0 * _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, nu)[0]
+            + _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, nu - h)[0]
         ) / (h * h)
         assert second >= -1e-8
 
@@ -124,39 +192,39 @@ def test_qprime_convexity_via_finite_differences():
 def test_q_derivatives_domain_error():
     prof = _profile()
     with pytest.raises(ParameterError):
-        q_derivatives(*REF_PARAMS, prof.lambda_star, prof.mu_star - 1e-6)
+        _q_derivatives(*REF_PARAMS, prof.lambda_star, prof.mu_star, prof.mu_star - 1e-6)
     with pytest.raises(ParameterError):
-        q_derivatives(*REF_PARAMS, prof.lambda_star, prof.lambda_star + 1e-6)
+        _q_derivatives(*REF_PARAMS, prof.lambda_star, prof.mu_star, prof.lambda_star + 1e-6)
 
 
 def test_q_derivatives_rejects_wrong_lambda_star():
     with pytest.raises(ConsistencyError):
-        q_derivatives(*REF_PARAMS, 0.5, 0.3)
+        _q_derivatives(*REF_PARAMS, 0.5, _profile().mu_star, 0.3)
 
 
 def test_conditional_expectation_cases(ref_dp):
     inst, _, times = ref_dp.get(10**4)
     a, b, p = REF_PARAMS
     ib = 1.0 / p + b
-    val_before_k = conditional_expectation_asymptotic(inst, times, 1)
+    val_before_k = _conditional_expectation_asymptotic(inst, times, 1)
     assert val_before_k == pytest.approx(
         times.mu_n + ib * (1.0 - math.exp(p * (times.mu_n - 1.0)))
     )
     # constant on the whole first segment
-    assert conditional_expectation_asymptotic(inst, times, times.k_n - 1) == val_before_k
+    assert _conditional_expectation_asymptotic(inst, times, times.k_n - 1) == val_before_k
     # middle segment varies with i, continuous at k_n
-    assert conditional_expectation_asymptotic(inst, times, times.k_n) == val_before_k
-    v1 = conditional_expectation_asymptotic(inst, times, times.k_n + 10)
+    assert _conditional_expectation_asymptotic(inst, times, times.k_n) == val_before_k
+    v1 = _conditional_expectation_asymptotic(inst, times, times.k_n + 10)
     assert v1 != val_before_k
     # third segment depends on kbar_n only
-    v3a = conditional_expectation_asymptotic(inst, times, times.kbar_n)
-    v3b = conditional_expectation_asymptotic(inst, times, times.j_n - 1)
+    v3a = _conditional_expectation_asymptotic(inst, times, times.kbar_n)
+    v3b = _conditional_expectation_asymptotic(inst, times, times.j_n - 1)
     assert v3a == v3b
     assert v3a == pytest.approx(times.nu_n + ib * (1.0 - math.exp(p * (times.nu_n - 1.0))))
     # last segment decays toward the constant's value via the explicit form
     i = times.j_n + 7
     e = math.exp(p * (times.nu_n - i / inst.n))
-    assert conditional_expectation_asymptotic(inst, times, i) == pytest.approx(
+    assert _conditional_expectation_asymptotic(inst, times, i) == pytest.approx(
         times.nu_n + ib * (1.0 - e) + a * e
     )
 
@@ -164,9 +232,9 @@ def test_conditional_expectation_cases(ref_dp):
 def test_conditional_expectation_position_range(ref_dp):
     inst, _, times = ref_dp.get(10**4)
     with pytest.raises(IndexError):
-        conditional_expectation_asymptotic(inst, times, 0)
+        _conditional_expectation_asymptotic(inst, times, 0)
     with pytest.raises(IndexError):
-        conditional_expectation_asymptotic(inst, times, inst.n + 2)
+        _conditional_expectation_asymptotic(inst, times, inst.n + 2)
 
 
 def test_case_split_requires_ordering(ref_dp):
@@ -175,19 +243,13 @@ def test_case_split_requires_ordering(ref_dp):
         n=inst.n, j_n=10, k_n=100, kbar_n=50, lambda_n=10 / inst.n,
         mu_n=100 / inst.n, nu_n=50 / inst.n,
     )
-    with pytest.raises(OrderingError):
-        conditional_expectation_asymptotic(inst, bad, 5)
-    with pytest.raises(OrderingError):
-        partial_sums(inst, bad)
+    with pytest.raises(ValueError, match="need k_n <= kbar_n <= j_n"):
+        _conditional_expectation_asymptotic(inst, bad, 5)
+    with pytest.raises(ValueError, match="need k_n <= kbar_n <= j_n"):
+        _partial_sums(inst, bad)
 
 
-_TIMES_CONSUMERS = {
-    "conditional_expectation_asymptotic": lambda inst, tables, times: (
-        conditional_expectation_asymptotic(inst, times, 50)
-    ),
-    "partial_sums": lambda inst, tables, times: partial_sums(inst, times),
-    "verify_bound_sandwich": verify_bound_sandwich,
-}
+_TIMES_CONSUMERS = {"verify_bound_sandwich": verify_bound_sandwich}
 
 
 @pytest.mark.parametrize("consumer", sorted(_TIMES_CONSUMERS))
@@ -206,7 +268,7 @@ def test_times_for_another_size_rejected(consumer):
 def test_law_of_total_expectation(ref_dp, n):
     inst, tables, times = ref_dp.get(n)
     total = sum(
-        conditional_expectation_asymptotic(inst, times, i) for i in range(1, n + 2)
+        _conditional_expectation_asymptotic(inst, times, i) for i in range(1, n + 2)
     ) / (n + 1)
     assert total == pytest.approx(optimal_value(inst, tables), abs=1e-3)
 
@@ -229,7 +291,7 @@ def test_q_eval_collapses_when_all_arguments_coincide():
 
 def test_partial_sums_total_checked_internally(ref_dp):
     inst, _, times = ref_dp.get(10**4)
-    s1, s2, s3, s4 = partial_sums(inst, times)
+    s1, s2, s3, s4 = _partial_sums(inst, times)
     q = q_eval(*REF_PARAMS, times.lambda_n, times.mu_n, times.nu_n)
     assert s1 + s2 + s3 + s4 == pytest.approx(q, abs=1e-10)
 
@@ -240,11 +302,11 @@ def test_partial_sums_empty_segments():
     times = AcceptanceTimes(
         n=1000, j_n=400, k_n=k, kbar_n=k, lambda_n=0.4, mu_n=k / 1000, nu_n=k / 1000
     )
-    assert partial_sums(inst, times)[1] == 0.0
+    assert _partial_sums(inst, times)[1] == 0.0
     times = AcceptanceTimes(
         n=1000, j_n=400, k_n=k, kbar_n=400, lambda_n=0.4, mu_n=k / 1000, nu_n=0.4
     )
-    assert partial_sums(inst, times)[2] == 0.0
+    assert _partial_sums(inst, times)[2] == 0.0
 
 
 def test_q_eval_at_finite_size_times_tracks_optimal_value(ref_dp):
@@ -367,4 +429,23 @@ def test_sandwich_ordering_fails_at_a_feasible_point():
     report = verify_bound_sandwich(inst, tables, acceptance_times(tables, inst))
     row = report.check("ordering")
     assert (row.k_lo, row.k_hi, row.worst_margin, row.passed) == (23, 1550, -43.0, False)
+    assert not report.passed
+
+
+def test_sandwich_reports_ordering_where_condition_ii_fails():
+    # A real law with (2-p)(b-a) = 2.21 >= 1, where k_star raises: the
+    # sandwich evaluates k*'s formula ungated (k* = -761) and reports all
+    # four checks, ordering failing with its margin.
+    point, n = (0.5, 1.9, 0.421), 1000
+    assert [c.name for c in validate(*point, n).checks if not c.passed] == ["log", "II", "V"]
+    inst, _ = make_instance(*point, n)
+    tables = compute_thresholds(inst)
+    times = acceptance_times(tables, inst)
+    report = verify_bound_sandwich(inst, tables, times)
+    assert [c.check for c in report.checks] == [
+        "lower_bound", "upper_bound", "ordering", "kstar_below_j"
+    ]
+    assert report.check("lower_bound").passed and report.check("upper_bound").passed
+    row = report.check("ordering")
+    assert (row.k_lo, row.k_hi, row.worst_margin, row.passed) == (times.k_n, -761, -762.0, False)
     assert not report.passed

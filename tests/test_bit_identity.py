@@ -27,7 +27,6 @@ from rostop import (
     acceptance_times,
     compute_thresholds,
     make_instance,
-    phi_closed_form,
     validate,
     verify_bound_sandwich,
     write_threshold_csv,
@@ -238,10 +237,20 @@ def test_full_curves_csv_at_n_1e5_equals_reference():
 
 @pytest.mark.parametrize("point", [REF_PARAMS, *PERTURBED])
 def test_phi_closed_form_equals_reference_expression(point):
+    # The table's phi on [k_n, n]; below k_n, where the table leaves the
+    # closed form, the geometric sum that the pass evaluates.
     for n in (2, 3, 64, 10**3, 10**6):
         inst, _ = make_instance(*point, n)
+        tables = compute_thresholds(inst)
+        k_n = acceptance_times(tables, inst).k_n
+        law = inst.distribution()
+        w_top, w_mid, _ = law.masses
         x0 = (1.0 + inst.b * inst.p) / n
         eps = inst.p / n + 1.0 / (n * n)
         for i in {1, (n + 1) // 3, n // 2, n - 1}:
             expected = float(x0 * -np.expm1((n - i + 1) * np.log1p(-eps)) / eps)
-            assert phi_closed_form(inst, i) == expected, (n, i)
+            if i >= k_n:
+                got = tables.phi[i]
+            else:
+                got = dp_module._geometric(law.mean, w_mid + w_top, n - i + 1)
+            assert got == expected, (n, i)

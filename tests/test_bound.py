@@ -18,10 +18,10 @@ from rostop import (
     hardness_bound,
     lambda_mu_star,
     make_instance,
-    q_derivatives,
     q_eval,
     validate,
 )
+from rostop.asymptotics import _q_derivatives
 from rostop.bound import (
     DEFAULT_RTOL,
     DEFAULT_XTOL,
@@ -68,7 +68,7 @@ def test_bisection_preserves_bracket():
     # Shadow run with the same derivative: the sign invariant must hold at
     # every halving and the midpoint sequence must land on the same root.
     prof = lambda_mu_star(*REF_PARAMS)
-    f = lambda nu: q_derivatives(*REF_PARAMS, prof.lambda_star, nu)[0]
+    f = lambda nu: _q_derivatives(*REF_PARAMS, prof.lambda_star, prof.mu_star, nu)[0]
     lo, hi = prof.mu_star, prof.lambda_star
     xtol, rtol = 1e-13, 1e-14
     while True:
@@ -146,7 +146,7 @@ def _assert_qprime_at_mu_star_positive(a, b, p):
     # x = ap/v, which is positive for a, p > 0 and b > a: the maximum of q is
     # never at the left end.
     prof = lambda_mu_star(a, b, p)
-    q1 = q_derivatives(a, b, p, prof.lambda_star, prof.mu_star)[0]
+    q1 = _q_derivatives(a, b, p, prof.lambda_star, prof.mu_star, prof.mu_star)[0]
     u, v = 1.0 + b * p, 1.0 + (b - a) * p
     x = a * p / v
     closed = v * ((1.0 + x) * math.log1p(x) - x) / (p * u)

@@ -124,11 +124,13 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 def test_config_rejects_non_integral_n(tmp_path, capsys):
+    # n is parsed as --n parses it, so an exponent is refused too
     cfg = tmp_path / "params.cfg"
-    cfg.write_text("a = 0.789\nb = 1.24\np = 0.421\nn = 1.5\n")
-    assert main(["dp", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "n must be an integer" in err and "1.5" in err
+    for text in ("1.5", "1e3"):
+        cfg.write_text(f"a = 0.789\nb = 1.24\np = 0.421\nn = {text}\n")
+        assert main(["dp", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "n must be an integer" in err and text in err
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
@@ -354,3 +356,15 @@ def test_bound_plain_shows_certificate(capsys):
     assert main(["bound", *ABP]) == 0
     out = capsys.readouterr().out
     assert "certificate: sup|q'| =" in out
+
+
+def test_config_n_parses_as_the_flag_does(tmp_path, capsys):
+    # n = 10^17 + 1 is not a float: parsed through one, it became 10^17.
+    n = "100000000000000001"
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(f"a = 0.789\nb = 1.24\np = 0.421\nn = {n}\n")
+    run = ["simulate", "--prophet", "--trials", "10", "--seed", "1", "--json"]
+    assert main([*run, "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert main([*run, "--a", "0.789", "--b", "1.24", "--p", "0.421", "--n", n]) == 0
+    assert from_config == capsys.readouterr().out

@@ -23,7 +23,6 @@ from rostop import (
     lambda_mu_star,
     make_instance,
     optimal_value,
-    phi_closed_form,
     prophet_exact,
     simulate_policy,
     validate,
@@ -204,29 +203,21 @@ def test_phi_closed_form_at_n_is_exact():
     a, b, p = REF_PARAMS
     for n in (2, 10, 1000):
         inst = _ref_instance(n)
-        assert phi_closed_form(inst, n) == (1.0 + b * p) / n
+        assert compute_thresholds(inst).phi[n] == (1.0 + b * p) / n
 
 
 def test_phi_closed_form_matches_recursion_above_k(ref_dp):
+    # The pass's closed-form phi against the step-by-step recursion.
     inst, tables, times = ref_dp.get(10**4)
+    phi = _backward_loop(inst)[0]
     ks = range(times.k_n, inst.n + 1)
-    worst = max(
-        abs(phi_closed_form(inst, i) - tables.phi[i]) / tables.phi[i] for i in ks
-    )
+    worst = max(abs(phi[i] - tables.phi[i]) / tables.phi[i] for i in ks)
     assert worst <= 1e-9
 
 
 def test_phi_closed_form_near_j(ref_dp):
-    inst, _, times = ref_dp.get(10**6)
-    assert phi_closed_form(inst, times.j_n) <= inst.a + 1e-4
-
-
-def test_phi_closed_form_index_errors():
-    inst = _ref_instance(10)
-    with pytest.raises(IndexError):
-        phi_closed_form(inst, 0)
-    with pytest.raises(IndexError):
-        phi_closed_form(inst, 11)
+    inst, tables, times = ref_dp.get(10**6)
+    assert tables.phi[times.j_n] <= inst.a + 1e-4
 
 
 def _csv_rows(tables, stride):

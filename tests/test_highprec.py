@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+import rostop.dp as dp_module
 from rostop import (
     acceptance_times,
     compute_thresholds,
     make_instance,
     optimal_value,
-    phi_closed_form,
     prophet_exact,
 )
 
@@ -102,15 +102,25 @@ def test_blocked_pass_matches_40_digit_recursion():
 
 
 def test_closed_form_drift_at_large_n():
+    # The table's phi on [k_n, n]; below k_n (i = 10), the geometric sum
+    # that the pass evaluates there.
     mp.dps = 50
     n = 10**5
     inst, _ = make_instance(*REF_PARAMS, n)
+    tables = compute_thresholds(inst)
+    k_n = acceptance_times(tables, inst).k_n
+    law = inst.distribution()
+    w_top, w_mid, _ = law.masses
     a, b, p = _mp_params()
     eps = p / n + mpf(1) / (n * n)
     q = 1 - eps
     for i in (10, 2500, n // 2, n - 1, n):
         exact = (1 + b * p) / n * (1 - q ** (n - i + 1)) / eps
-        assert phi_closed_form(inst, i) == pytest.approx(float(exact), rel=1e-12)
+        if i >= k_n:
+            got = tables.phi[i]
+        else:
+            got = dp_module._geometric(law.mean, w_mid + w_top, n - i + 1)
+        assert got == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_lower_bound_tail_sums_at_large_n():

@@ -18,7 +18,6 @@ from rostop import (
     ThresholdTables,
     compute_thresholds,
     exhaustive_optimal_value,
-    history_values,
     make_instance,
     optimal_value,
     prophet_exact,
@@ -71,11 +70,10 @@ def test_history_collapse_is_exact_and_matches_tables():
     n = 5
     inst, _ = make_instance(*REF_PARAMS, n)
     tables = compute_thresholds(inst)
-    values = history_values(inst)
     classes = {}
-    for hv in values:
-        key = (hv.depth, inst.a in hv.history)
-        classes.setdefault(key, set()).add(hv.gamma)
+    for history, gamma in oracle._continuation_table(inst).items():
+        key = (len(history), inst.a in history)
+        classes.setdefault(key, set()).add(gamma)
     # bit-exact collapse within each (depth, constant-seen) class
     assert all(len(vals) == 1 for vals in classes.values())
     # depth-n continuation values are the terminal expectations
@@ -90,13 +88,12 @@ def test_history_collapse_is_exact_and_matches_tables():
 
 def test_history_structure():
     inst, _ = make_instance(*REF_PARAMS, 4)
-    values = history_values(inst)
     support = {0.0, inst.b, float(inst.n), inst.a}
-    for hv in values:
-        assert hv.depth == len(hv.history) <= inst.n
-        assert set(hv.history) <= support
-        assert sum(1 for x in hv.history if x == inst.a) <= 1
-        assert hv.gamma >= 0.0
+    for history, gamma in oracle._continuation_table(inst).items():
+        assert len(history) <= inst.n
+        assert set(history) <= support
+        assert sum(1 for x in history if x == inst.a) <= 1
+        assert gamma >= 0.0
 
 
 def test_exhaustive_size_guard():
