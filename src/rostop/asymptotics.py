@@ -7,7 +7,8 @@ Contents:
 * the exponential quadratic ``q(lambda, mu, nu)`` whose maximum over
   ``nu in [mu*, lambda*]`` yields the hardness bound, together with its
   first three derivatives in ``nu`` (after substituting ``lambda = lambda*``),
-  which the bound's bisection and certificate read;
+  which the bound's bisection and certificate read, and its value at
+  ``(lambda*, mu*)`` in a closed form free of ``1/p^2`` terms;
 * the index ``k*`` and the finite-size sandwich diagnostics: an iterative
   lower bound on ``phibar`` from step ``k_n - 1`` on, and the linear upper
   bound ``a + (n-k)/2 * (1+(b-a)p)/n`` from step ``j_n`` on.
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import dp
-from .dp import AcceptanceTimes, ConsistencyError, ThresholdTables, _require_matching_tables
+from .dp import AcceptanceTimes, ThresholdTables, _require_matching_tables
 from .instance import InstanceParams, InfeasibleInstanceError, ParameterError, validate
 
 __all__ = [
@@ -111,17 +112,30 @@ def lambda_mu_star(a: float, b: float, p: float) -> AsymptoticProfile:
     return AsymptoticProfile(a=a, b=b, p=p, lambda_star=lam, mu_star=mu)
 
 
-# The formulas below check nothing and take ``exp``/``log1p`` as arguments:
-# ``math``'s on the scalar path, libm per element on the bound's numpy lanes,
-# so both evaluate one source and get the same bits.  (The lanes' halvings
-# pass numpy's ``exp`` and let libm decide where its sign is in doubt; see
-# ``bound``.)
+# The formulas below check nothing and take ``exp``, ``log1p``, ``expm1`` and
+# ``where`` as arguments: ``math``'s and :func:`_where` on the scalar path,
+# libm per element and ``np.where`` on the bound's numpy lanes, so both
+# evaluate one source and get the same bits.  (The lanes' halvings pass
+# numpy's ``exp``; see ``bound``.)
+
+
+def _where(cond, x, y):
+    """``np.where`` for one scalar."""
+    return x if cond else y
 
 
 def _limits(a, b, p, log1p):
     """``(lambda*, mu*)``; see :func:`lambda_mu_star`."""
     log_bp = log1p(b * p)
     return 1.0 + (log1p((b - a) * p) - log_bp) / p, 1.0 - log_bp / p
+
+
+def _limits_residual(a, b, p, lam, mu, exp):
+    """Summed relative residuals of ``(1 + bp) e^{p(lam - 1)} = 1 + (b - a)p``
+    and ``(1 + bp) e^{p(mu - 1)} = 1``, the identities that define ``lambda*``
+    and ``mu*`` and that the simplified ``q'`` and :func:`_q_at_limits` absorb."""
+    u, v = 1.0 + b * p, 1.0 + (b - a) * p
+    return abs(u * exp(p * (lam - 1.0)) - v) / v + abs(u * exp(p * (mu - 1.0)) - 1.0)
 
 
 def _q(a, b, p, lam, mu, nu, exp):
@@ -138,26 +152,38 @@ def _q(a, b, p, lam, mu, nu, exp):
     )
 
 
-def _q_prime_factors(a, b, p):
-    """``(u, ib, iba) = (1 + bp, 1/p + b, 1/p + b - a)``: the factors of ``q'``
-    that depend on the point alone, computed once per point."""
-    ib = 1.0 / p + b
-    return 1.0 + b * p, ib, ib - a
+# phi2's series, sum_k x^k / (k + 2)!, runs below 2, where 22 terms leave out
+# under 0.1 ulp; above 2, expm1(x) - x cancels at most a third of expm1(x).
+_PHI2_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(22))
 
 
-def _q_prime_terms(a, p, lam, u, ib, iba, nu, exp):
-    """``(q1, q1_unsimplified, e1, slope)`` at ``nu``; see :func:`_q_prime`.
+def _phi2(x, expm1, where):
+    """``(e^x - 1 - x) / x^2`` for ``x >= 0``, within 3 ulps."""
+    series = _PHI2_SERIES[-1]
+    for c in _PHI2_SERIES[-2::-1]:
+        series = series * x + c
+    big = where(x < 2.0, 2.0, x)  # keeps expm1's branch off x = 0
+    return where(x < 2.0, series, (expm1(big) - big) / (big * big))
 
-    ``u``, ``ib`` and ``iba`` come from :func:`_q_prime_factors`.  ``e1``
-    and ``slope`` are the factors that the higher derivatives share with
-    ``q'`` (:func:`_q_higher_terms`).
+
+def _q_at_limits(b, p, mu, nu, q1, expm1, where):
+    """``q(lambda*, mu*, nu)`` from ``q1 = q'(nu)``, with no ``1/p^2`` terms.
+
+    The identities of :func:`_limits_residual` turn :func:`_q`'s two
+    ``1/p^2`` terms into ``-(e^x - 1)/p^2 - mu*/p`` with ``x = p(nu - mu*)``,
+    and its middle term is ``(q'(nu) - 1 + nu)/p``; only ``q'``'s rounding,
+    about one ulp of 1, is divided by ``p``.
     """
-    c, dl = 1.0 - nu, nu - lam
+    d = nu - mu
+    return b + nu - nu * nu / 2.0 + mu * mu / 2.0 - d * d * _phi2(p * d, expm1, where) + q1 / p
+
+
+def _q_prime_terms(a, p, lam, u, nu, exp):
+    """``(q1, e1, slope)`` at ``nu`` from one ``exp``, with ``u = 1 + bp``; ``e1``
+    and ``slope`` are shared with the higher derivatives (:func:`_q_higher_terms`)."""
     e1 = exp(p * (nu - 1.0))
-    slope = u * dl
-    q1 = c + (slope - a) * e1
-    q1_unsimplified = c + (ib + slope - a) * e1 - iba * exp(p * dl)
-    return q1, q1_unsimplified, e1, slope
+    slope = u * (nu - lam)
+    return 1.0 - nu + (slope - a) * e1, e1, slope
 
 
 def _q_higher_terms(a, b, p, e1, slope):
@@ -174,36 +200,23 @@ def q_eval(a: float, b: float, p: float, lam: float, mu: float, nu: float) -> fl
 
 def _q_derivatives(a, b, p, lam, mu_star, nu):
     """First three nu-derivatives of ``q(lam, mu*, nu)`` at ``nu in [mu*, lam]``,
-    ``q'`` checked as :func:`_q_prime` checks it."""
-    u, ib, iba = _q_prime_factors(a, b, p)
-    q1, e1, slope = _q_prime(a, p, lam, mu_star, u, ib, iba, nu)
+    ``nu`` checked as :func:`_q_prime` checks it."""
+    q1, e1, slope = _q_prime(a, p, lam, mu_star, 1.0 + b * p, nu)
     q2, q3 = _q_higher_terms(a, b, p, e1, slope)
     return q1, q2, q3
 
 
-def _q_prime(a, p, lam, mu_star, u, ib, iba, nu):
-    """``(q1, e1, slope)``: ``q'`` at ``nu``, checked against its unsimplified form.
+def _q_prime(a, p, lam, mu_star, u, nu):
+    """``(q1, e1, slope)``: ``q'`` at ``nu``, with ``u = 1 + bp`` taken once per point.
 
-    The simplified ``q'`` absorbs the identity
-    ``(1/p + b - a) e^{p(nu - lambda*)} = (1/p + b) e^{p(nu - 1)}``, which
-    holds only at the true ``lambda*``; every call re-evaluates the
-    unsimplified derivative and raises :class:`ConsistencyError` if the two
-    disagree beyond 1e-12, so a wrong ``lam`` cannot pass silently.  A ``nu``
-    outside ``[mu_star, lam]`` raises :class:`ParameterError`.
-
-    The bisection reads ``q1`` alone, with the point's factors taken once;
-    :func:`_q_derivatives` goes on from ``e1`` and ``slope`` to the higher
-    derivatives.
+    ``q'`` is simplified by ``lambda*``'s identity (:func:`_limits_residual`),
+    so it holds only at the true ``lambda*``; the bound's certificate checks
+    that identity once per point.  A ``nu`` outside ``[mu_star, lam]``
+    raises :class:`ParameterError`.
     """
     if not mu_star <= nu <= lam:
         raise ParameterError(f"nu={nu!r} outside [mu*, lambda*] = [{mu_star!r}, {lam!r}]")
-    q1, q1_unsimplified, e1, slope = _q_prime_terms(a, p, lam, u, ib, iba, nu, math.exp)
-    if abs(q1 - q1_unsimplified) > 1e-12:
-        raise ConsistencyError(
-            "simplified and unsimplified q' disagree: "
-            f"{q1!r} vs {q1_unsimplified!r} (is lambda_star correct?)"
-        )
-    return q1, e1, slope
+    return _q_prime_terms(a, p, lam, u, nu, math.exp)
 
 
 def _require_matching_times(inst: InstanceParams, times: AcceptanceTimes) -> None:

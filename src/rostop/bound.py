@@ -13,28 +13,22 @@ bracketing bisection.
 
 Bisection is used deliberately instead of a faster root finder: the error
 certificate rests on its bracket guarantee.  Each halving evaluates ``q'``
-alone, with its two checks (``nu`` inside ``[mu*, lambda*]``, and the
-simplified ``q'`` within 1e-12 of the unsimplified one).  The returned
-``nu_hat`` is the midpoint of the final bracket, so ``|nu_hat - nu*|`` is at
-most half the final width; that half-width is reported as
-``nu_error_bound`` (it is never larger than ``xtol + |nu_hat| * rtol``).
-Only the certificate reads ``q''`` and ``q'''``: ``q'`` is convex on the
-final bracket (third derivative positive at both ends), so its endpoint
-values and tangents prove ``|q'| < 1`` there, and the same bound then
-dominates ``|q(nu_hat) - m|``.
+alone, from one ``exp``.  The returned ``nu_hat`` is the midpoint of the
+final bracket, and its half-width is reported as ``nu_error_bound`` (never
+larger than ``xtol + |nu_hat| * rtol``).  ``m`` is ``q(nu_hat)`` in the
+closed form ``asymptotics._q_at_limits``, free of ``1/p^2`` terms.  Only the
+certificate reads ``q''`` and ``q'''``: ``q'`` is convex on the final
+bracket, so its endpoint values and tangents prove ``|q'| < 1`` there, and
+the same bound then dominates ``|q(nu_hat) - m|``.  The certificate also
+checks, once per point, the identities ``(1 + bp) e^{p(lambda* - 1)} =
+1 + (b - a)p`` and ``(1 + bp) e^{p(mu* - 1)} = 1`` on which the simplified
+``q'`` and ``m`` rest, and it refuses ``p < 8.88e-4``, where ``m``'s
+rounding, ``q'(nu_hat)``'s divided by ``p``, exceeds 1e-12, the last of the
+12 digits ``rostop bound`` and the sweep print.
 
 :func:`hardness_bound` is the single-point path and the reference.  The
-sweep uses the private batched evaluator :func:`_hardness_bounds`, which
-runs the same steps over numpy arrays of validated points: all lanes bisect
-in lockstep on ``q'`` alone, each stopping on the scalar's own width test.
-The lanes share every formula with the scalar path and compute every value
-they return with libm, as the scalar does.  The halvings read only the sign
-of ``q'`` and the outcome of its check, and they run on numpy's ``exp``
-behind a guard that hands every lane it cannot decide to libm.  So every
-result equals the scalar's bit for bit; the two paths differ only in how a
-check reports.  Each scalar check is a mask over the lanes; if any lane
-fails one, the first such point in input order is re-run through
-:func:`hardness_bound`, so every error is raised, and worded, only there.
+sweep's :func:`_hardness_bounds` runs the same steps on numpy lanes and
+returns the same bits; see the comment block that opens that path.
 """
 
 from __future__ import annotations
@@ -49,14 +43,14 @@ import numpy as np
 
 from .asymptotics import (
     _limits,
-    _q,
+    _limits_residual,
+    _q_at_limits,
     _q_derivatives,
     _q_higher_terms,
     _q_prime,
-    _q_prime_factors,
     _q_prime_terms,
+    _where,
     lambda_mu_star,
-    q_eval,
 )
 from .dp import ConsistencyError
 from .instance import ParameterError
@@ -78,6 +72,10 @@ _MAX_ITER = 200
 # Float-evaluation allowance on the closed-form sup |q'|: near its root
 # q' = 1 - nu + ... cancels, so its rounding error is about one ulp of 1.
 _QPRIME_ROUNDING = 4 * 2.0**-52
+# asymptotics._limits_residual may reach _LIMITS_ROUNDING * (2 + p): a few
+# roundings of 1, and those of lambda* and mu* times p.  Measured: at most
+# 2.2 * 2^-53 * (2 + p) on feasible points with p from 1e-10 to 100.
+_LIMITS_ROUNDING = 16 * 2.0**-53
 
 
 class BracketError(ValueError):
@@ -180,12 +178,23 @@ def _qprime_sup(
     ``q'`` convex on the whole interval.  A convex function peaks at an
     endpoint and lies above both endpoint tangents, which bounds ``q'``
     from above and below.  Raises :class:`CertificationError` when
-    ``[lo, hi]`` is not inside ``[mu, lam]``, when ``q'`` is not convex
-    there, or when the bound reaches 1.
+    ``[lo, hi]`` is not inside ``[mu, lam]``, when ``p < 8.88e-4`` (see the
+    module docstring), when ``q'`` is not convex there, or when the bound
+    reaches 1; :class:`ConsistencyError` when ``lam`` or ``mu`` is off.
     """
     if not mu <= lo <= hi <= lam:
         raise CertificationError(
             f"interval [{lo!r}, {hi!r}] is not inside [mu*, lambda*] = [{mu!r}, {lam!r}]"
+        )
+    if _QPRIME_ROUNDING / p > 1e-12:
+        raise CertificationError(
+            f"p = {p!r} is too small: the rounding of q'(nu_hat)/p in m, "
+            f"{_QPRIME_ROUNDING / p:.3g}, exceeds 1e-12"
+        )
+    residual = _limits_residual(a, b, p, lam, mu, math.exp)
+    if not residual <= _LIMITS_ROUNDING * (2.0 + p):
+        raise ConsistencyError(
+            f"limits miss their identities by {residual!r} (are lambda_star and mu_star correct?)"
         )
     q1_lo, q2_lo, q3_lo = _q_derivatives(a, b, p, lam, mu, lo)
     q1_hi, q2_hi, q3_hi = _q_derivatives(a, b, p, lam, mu, hi)
@@ -219,8 +228,8 @@ def _maximise_q(
     ``log2((lam - mu)/xtol) ~ 42`` halvings suffice at the default
     tolerances.
     """
-    u, ib, iba = _q_prime_factors(a, b, p)
-    f = lambda nu: _q_prime(a, p, lam, mu, u, ib, iba, nu)[0]
+    u = 1.0 + b * p
+    f = lambda nu: _q_prime(a, p, lam, mu, u, nu)[0]
     q1_hi = f(lam)
     if q1_hi > 0.0:
         raise ConsistencyError(
@@ -228,7 +237,8 @@ def _maximise_q(
             "this signals a bug in the derivative or the validation"
         )
     nu_hat, iterations, half_width = _bisect(f, mu, lam, xtol, rtol, _MAX_ITER)
-    return nu_hat, q_eval(a, b, p, lam, mu, nu_hat), iterations, half_width
+    m = _q_at_limits(b, p, mu, nu_hat, f(nu_hat), math.expm1, _where)
+    return nu_hat, m, iterations, half_width
 
 
 def hardness_bound(
@@ -272,12 +282,10 @@ def hardness_bound(
 def certify(bound: HardnessBound) -> ErrorCertificate:
     """Re-derive the error chain of a computed bound.
 
-    Checks ``nu_error_bound <= xtol + |nu_hat| * rtol``, proves ``q'``
-    convex on ``[nu_hat - e, nu_hat + e]`` (third derivative positive at
-    both ends), bounds ``sup |q'|`` there in closed form from ``q'`` and
-    ``q''`` at the two ends, and concludes ``|q(nu_hat) - max q| <= sup * e
-    < e``.  Raises :class:`CertificationError` when the interval leaves
-    ``[mu*, lambda*]``, when convexity fails, or when ``sup >= 1``.
+    Checks ``nu_error_bound <= xtol + |nu_hat| * rtol``, bounds ``sup |q'|``
+    on ``[nu_hat - e, nu_hat + e]`` by :func:`_qprime_sup`, and concludes
+    ``|q(nu_hat) - max q| <= sup * e < e``.  Raises what :func:`_qprime_sup`
+    raises, and :class:`CertificationError` when the first check fails.
     """
     e = bound.nu_error_bound
     claim = bound.xtol + abs(bound.nu_hat) * bound.rtol
@@ -298,43 +306,30 @@ def certify(bound: HardnessBound) -> ErrorCertificate:
 # ---------------------------------------------------------------- batched path
 #
 # The functions below run the scalar path over numpy arrays of points, one
-# lane per point.  They evaluate the very formulas the scalar path does
-# (``asymptotics._limits``, ``_q``, ``_q_prime_terms`` and
-# ``_q_higher_terms``, ``prophet._limit`` and :func:`_sup_from_ends`), given
-# element-wise libm ``exp`` and ``log1p`` (numpy's vectorised versions can
-# differ from libm in the last bit) and Python's ``max``/``min`` per element;
-# numpy does the + - * / in the same order, so every lane's result is
-# bit-identical to the scalar one.  The two paths differ only in how a check
-# reports: each check that the scalar path raises on is a boolean mask over
-# the lanes, OR-ed into one ``bad`` array, and no lane is ever dropped.  The
-# error itself is re-derived by :func:`_raise_first_bad` for the first bad
-# point.  The sweep evaluates ``instance._rows`` on lanes with the same
-# primitives.
+# lane per point, all lanes bisected in lockstep.  They evaluate the very
+# formulas the scalar path does, given element-wise libm ``exp``, ``expm1``
+# and ``log1p`` (numpy's vectorised versions can differ from libm in the last
+# bit), ``np.where`` and Python's ``max``/``min`` per element; numpy does the
+# + - * / in the same order, so every lane's result is bit-identical to the
+# scalar one.  Each check that the scalar path raises on is a boolean mask
+# over the lanes, OR-ed into one ``bad`` array, and no lane is ever dropped;
+# :func:`_raise_first_bad` re-derives the error of the first bad point
+# through the scalar path, so every error is raised, and worded, only there.
 #
 # The halvings of :func:`_maximise_q_lanes` are the exception: they take
 # ``_q_prime_terms`` with numpy's exp (``_fast_exp``), about 35 times cheaper
 # per element than libm's through Python, and they decide exactly what libm
 # would.  A halving reads only the sign of q1 = fl(c + t), with c = 1 - nu
-# and t = (slope - a) e1, and whether |q1 - q1_unsimplified| > 1e-12.  Let
-# _ETA = 2^-48 bound the relative gap between the two exps (a test asserts
-# that numpy's is within _ETA/4 of libm's).  On [mu*, lambda*] both
-# exponentials are at most 1, so |t| <= t_max = u (lambda* - mu*) + a with
-# u = 1 + bp, and the terms of the check add up to at most
-# s_max = 2 + 2 ib + 2 t_max with ib = 1/p + b.  Rounding is monotone, so
-# moving an exp by _ETA moves libm's t from numpy's by about _ETA |t|, and
-# the check's difference by about _ETA s_max, plus a few roundings of each
-# term.  So numpy's sign is libm's wherever |q1| > 4 _ETA t_max, and libm's
-# check passes wherever numpy's difference is below 1e-12 - 4 _ETA s_max;
-# the factor 4 leaves three times the error of the analysis.  Every other
-# running lane is re-evaluated with libm through :func:`_q_prime_lanes`:
-# the last halvings near each root (4.4% of the lane halvings on the README
-# grid), and every halving of a lane the guard can never decide: one where
-# 4 _ETA s_max >= 1e-12 (p below about 0.03), or where u >= 1e300 and an
-# exp could fall below the smallest normal float (every exp argument lies
-# in [-log(u), 0]).  A halving with no decidable lane left running skips
-# the numpy pass, whose every result would go to libm, and evaluates all
-# lanes with libm without gathering them.  The bracket ends, ``m``, ``M``
-# and the certificate stay on libm.
+# and t = (slope - a) e1.  Let _ETA = 2^-48 bound the relative gap between
+# the two exps (a test asserts that numpy's is within _ETA/4 of libm's).  On
+# [mu*, lambda*], e1 <= 1, so |t| <= t_max = u (lambda* - mu*) + a with
+# u = 1 + bp.  Rounding is monotone, so moving e1 by _ETA moves libm's t
+# from numpy's by about _ETA |t|, plus a few roundings.  So numpy's sign is
+# libm's wherever |q1| > 4 _ETA t_max; the factor 4 leaves three times the
+# error of the analysis.  Every other running lane is re-evaluated with libm
+# through :func:`_q_prime_lanes`: the last halvings near each root, and
+# every halving where u >= 1e300, whose e1 could fall below the smallest
+# normal float (its argument lies in [-log(u), 0]).
 #
 # The allowance _ETA is a measured premise, not a proven one: IEEE leaves
 # exp's rounding free, and numpy picks its SIMD exp kernel by CPU.  The
@@ -349,6 +344,7 @@ def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 
 _exp = partial(_libm, math.exp)
+_expm1 = partial(_libm, math.expm1)
 _log = partial(_libm, math.log)
 _log1p = partial(_libm, math.log1p)
 # The halvings' exp, and the relative gap to libm's exp that their guard
@@ -386,17 +382,10 @@ def _raise_first_bad(bad, a, b, p, scalar: Callable) -> None:
 
 
 def _q_prime_lanes(a, b, p, lam, mu_star, nu):
-    """:func:`~rostop.asymptotics._q_prime` per lane: ``(q1, e1, slope, bad)``.
-
-    ``bad`` marks the lanes where the scalar raises: ``nu`` outside
-    ``[mu*, lambda*]``, or simplified and unsimplified ``q'`` apart by more
-    than 1e-12.
-    """
-    q1, q1_unsimplified, e1, slope = _q_prime_terms(
-        a, p, lam, *_q_prime_factors(a, b, p), nu, _exp
-    )
-    bad = ~((mu_star <= nu) & (nu <= lam)) | (np.abs(q1 - q1_unsimplified) > 1e-12)
-    return q1, e1, slope, bad
+    """:func:`~rostop.asymptotics._q_prime` per lane: ``(q1, e1, slope, bad)``,
+    ``bad`` where the scalar raises: ``nu`` outside ``[mu*, lambda*]``."""
+    q1, e1, slope = _q_prime_terms(a, p, lam, 1.0 + b * p, nu, _exp)
+    return q1, e1, slope, ~((mu_star <= nu) & (nu <= lam))
 
 
 def _q_derivatives_lanes(a, b, p, lam, mu_star, nu):
@@ -411,19 +400,15 @@ def _maximise_q_lanes(a, b, p, lam, mu, xtol, rtol):
 
     Returns ``(nu_hat, m, iterations, nu_error_bound, bad)``; the entries of
     bad lanes are meaningless.  Like the scalar, it evaluates ``q'`` alone.
-    The halvings run on :data:`_fast_exp`, and a lane whose sign or check
-    the guard cannot decide is re-evaluated through :func:`_q_prime_lanes`.
+    The halvings run on :data:`_fast_exp`, and a lane whose sign the guard
+    cannot decide is re-evaluated through :func:`_q_prime_lanes`.
     """
     q1_hi, _, _, bad = _q_prime_lanes(a, b, p, lam, mu, lam)
     q1_lo, _, _, bad_lo = _q_prime_lanes(a, b, p, lam, mu, mu)
     bad |= bad_lo | ~((q1_lo > 0.0) & (0.0 >= q1_hi))
     # The guard of the halvings on _fast_exp; see the comment block above.
-    u, ib, iba = _q_prime_factors(a, b, p)
-    t_max = u * (lam - mu) + a
-    sign_slack = 4.0 * _ETA * t_max
-    s_max = 2.0 + 2.0 * ib + 2.0 * t_max
-    check_limit = np.where(u < 1e300, 1e-12 - 4.0 * _ETA * s_max, -np.inf)
-    decidable = check_limit > 0.0  # lanes whose check the guard can ever pass
+    u = 1.0 + b * p
+    sign_slack = np.where(u < 1e300, 4.0 * _ETA * (u * (lam - mu) + a), np.inf)
     # _bisect in lockstep: each lane stops on its own width test, so its
     # halving count is the scalar's; finished and bad lanes stay frozen.
     lo, hi = mu.copy(), lam.copy()
@@ -435,26 +420,21 @@ def _maximise_q_lanes(a, b, p, lam, mu, xtol, rtol):
         if not running.any() or halvings == _MAX_ITER:
             break
         iterations += running
-        if not (running & decidable).any():  # nothing for _fast_exp to decide
-            q1, _, _, bad_mid = _q_prime_lanes(a, b, p, lam, mu, mid)
-            bad |= running & bad_mid
-            running &= ~bad
-        else:
-            q1, q1_unsimplified, _, _ = _q_prime_terms(a, p, lam, u, ib, iba, mid, _fast_exp)
-            sure = (np.abs(q1) > sign_slack) & (np.abs(q1 - q1_unsimplified) < check_limit)
-            sure &= (mu <= mid) & (mid <= lam)  # the scalar's range check needs no exp
-            doubt = np.flatnonzero(running & ~sure)
-            if doubt.size:
-                q1[doubt], _, _, bad_mid = _q_prime_lanes(
-                    a[doubt], b[doubt], p[doubt], lam[doubt], mu[doubt], mid[doubt]
-                )
-                failed = doubt[bad_mid]
-                bad[failed], running[failed] = True, False
+        q1 = _q_prime_terms(a, p, lam, u, mid, _fast_exp)[0]
+        sure = (np.abs(q1) > sign_slack) & (mu <= mid) & (mid <= lam)  # range check: no exp
+        doubt = np.flatnonzero(running & ~sure)
+        if doubt.size:
+            q1[doubt], _, _, bad_mid = _q_prime_lanes(
+                a[doubt], b[doubt], p[doubt], lam[doubt], mu[doubt], mid[doubt]
+            )
+            failed = doubt[bad_mid]
+            bad[failed], running[failed] = True, False
         up = q1 > 0.0
         np.copyto(lo, mid, where=running & up)
         np.copyto(hi, mid, where=running & ~up)
     bad |= running  # the iteration budget is spent
-    return mid, _q(a, b, p, lam, mu, mid, _exp), iterations, 0.5 * (hi - lo), bad
+    m = _q_at_limits(b, p, mu, mid, _q_prime_terms(a, p, lam, u, mid, _exp)[0], _expm1, np.where)
+    return mid, m, iterations, 0.5 * (hi - lo), bad
 
 
 def _qprime_sup_lanes(a, b, p, lam, mu, lo, hi):
@@ -462,8 +442,11 @@ def _qprime_sup_lanes(a, b, p, lam, mu, lo, hi):
     q1_lo, q2_lo, q3_lo, bad_lo = _q_derivatives_lanes(a, b, p, lam, mu, lo)
     q1_hi, q2_hi, q3_hi, bad_hi = _q_derivatives_lanes(a, b, p, lam, mu, hi)
     sup = _sup_from_ends(q1_lo, q2_lo, q1_hi, q2_hi, hi - lo, _pymax, _pymin)
+    residual = _limits_residual(a, b, p, lam, mu, _exp)
     bad = (
         ~((mu <= lo) & (lo <= hi) & (hi <= lam))
+        | (_QPRIME_ROUNDING / p > 1e-12)
+        | ~(residual <= _LIMITS_ROUNDING * (2.0 + p))
         | bad_lo
         | bad_hi
         | ~((q3_lo > 0.0) & (q3_hi > 0.0))

@@ -69,6 +69,8 @@ def _read_config(path: str) -> dict[str, float]:
         key, val = key.strip(), val.strip()
         if key not in ("a", "b", "p", "n"):
             raise ValueError(f"unknown config key {key!r} (expected one of a, b, p, n)")
+        if key in values:
+            raise ValueError(f"config key {key!r} is given twice")
         if key == "n":  # int(), as --n: through a float, 10^17 + 1 would round
             try:
                 values[key] = int(val)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import rostop.asymptotics
+import rostop.bound
 from rostop import (
     AcceptanceTimes,
     acceptance_times,
@@ -11,11 +13,14 @@ from rostop import (
     ConsistencyError,
     InfeasibleInstanceError,
     ParameterError,
+    SweepSpec,
+    hardness_bound,
     k_star,
     lambda_mu_star,
     make_instance,
     optimal_value,
     q_eval,
+    run_sweep,
     validate,
     verify_bound_sandwich,
 )
@@ -197,9 +202,22 @@ def test_q_derivatives_domain_error():
         _q_derivatives(*REF_PARAMS, prof.lambda_star, prof.mu_star, prof.lambda_star + 1e-6)
 
 
-def test_q_derivatives_rejects_wrong_lambda_star():
-    with pytest.raises(ConsistencyError):
-        _q_derivatives(*REF_PARAMS, 0.5, _profile().mu_star, 0.3)
+def test_q_derivatives_rejects_wrong_lambda_star(monkeypatch):
+    # lambda* and mu* are checked once per point, by the certificate of
+    # either path; m's closed form moves by 1e-10 if mu* is 1e-9 off.
+    limits = rostop.asymptotics._limits
+    for shift in ((1e-9, 0.0), (0.0, 1e-9)):
+
+        def shifted(a, b, p, log1p):
+            lam, mu = limits(a, b, p, log1p)
+            return lam + shift[0], mu + shift[1]
+
+        monkeypatch.setattr(rostop.asymptotics, "_limits", shifted)
+        monkeypatch.setattr(rostop.bound, "_limits", shifted)
+        with pytest.raises(ConsistencyError, match="are lambda_star and mu_star correct"):
+            hardness_bound(*REF_PARAMS)
+        with pytest.raises(ConsistencyError, match=r"at \(a, b, p\) = \(0\.789, 1\.24, 0\.421\)"):
+            run_sweep(SweepSpec(*((x, x, 0.01) for x in REF_PARAMS)))
 
 
 def test_conditional_expectation_cases(ref_dp):

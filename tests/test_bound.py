@@ -19,6 +19,7 @@ from rostop import (
     lambda_mu_star,
     make_instance,
     q_eval,
+    run_sweep,
     validate,
 )
 from rostop.asymptotics import _q_derivatives
@@ -90,8 +91,11 @@ def test_hardness_bound_reference_values():
     assert abs(hb.nu_hat - 0.211231196923) < 1e-12
     assert hb.M < 0.7235
     assert 0.0 < hb.M < 1.0
-    assert hb.m == q_eval(*REF_PARAMS, hb.lambda_star, hb.mu_star, hb.nu_hat)
-    assert hb.m == pytest.approx(1.40644, abs=1e-5)
+    # m is the closed form without q_eval's 1/p^2 terms, whose cancellation
+    # leaves q_eval about 2e-16/p^2 off; the 50-digit max of q is mpmath's.
+    p = REF_PARAMS[2]
+    assert abs(hb.m - q_eval(*REF_PARAMS, hb.lambda_star, hb.mu_star, hb.nu_hat)) <= 4e-16 / p**2
+    assert abs(hb.m - 1.4064337436640293304) <= 4e-16
 
 
 def test_error_bounds_chain():
@@ -99,6 +103,30 @@ def test_error_bounds_chain():
     assert hb.nu_error_bound <= hb.xtol + abs(hb.nu_hat) * hb.rtol
     assert hb.nu_error_bound < 0.5e-13
     assert 0.0 < hb.q_error_bound <= hb.nu_error_bound
+
+
+def test_bound_at_small_p_is_accurate():
+    # The six-term q's 1/p^2 cancellation put M 7.6e-11 off here; mpmath's
+    # 50-digit value is 0.7374600737349011806.
+    assert abs(hardness_bound(0.6, 1.00025, 1e-3).M - 0.73746007373490118) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [8.87e-4, 8.9e-4])
+def test_small_p_refused_where_m_rounds_into_the_12th_digit(p):
+    # Refused where the rounding of q'(nu_hat)/p, 4 * 2^-52 / p, exceeds 1e-12.
+    point = (0.6, 1.0 + p / 4, p)
+    assert validate(*point).passed
+    spec = SweepSpec(*((x, x, 0.01) for x in point))
+    if p < 8.88e-4:
+        with pytest.raises(CertificationError, match="is too small"):
+            hardness_bound(*point)
+        with pytest.raises(CertificationError, match=r"at \(a, b, p\) = .* is too small"):
+            run_sweep(spec)
+    else:
+        hb = hardness_bound(*point)
+        assert certify(hb).q_error_bound == hb.q_error_bound
+        (record,) = run_sweep(spec)
+        assert record.M == hb.M
 
 
 def test_hardness_bound_deterministic():
@@ -192,9 +220,9 @@ def test_batched_lanes_match_scalar():
 
 
 def test_numpy_exp_is_within_a_quarter_of_the_halvings_allowance_of_libm():
-    # The lanes' halvings take the sign of q' and its 1e-12 check from numpy's
-    # exp, guarded for a relative gap of up to _ETA to libm's exp; a numpy
-    # build whose exp strays further would void the guard, so it fails here.
+    # The lanes' halvings take the sign of q' from numpy's exp, guarded for
+    # a relative gap of up to _ETA to libm's exp; a numpy build whose exp
+    # strays further would void the guard, so it fails here.
     # The lanes' exp arguments lie in [-log(1 + bp), 0]: [-2, 0] on the
     # README grid, and the tail covers larger p.  [-0.6, 0] is sampled
     # densely: there numpy's exp and libm's differ by 1 ulp most often.

@@ -140,6 +140,16 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_config_rejects_repeated_key(tmp_path, capsys):
+    # An appended line must not silently override an earlier value.
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("a = 0.789\nb = 1.24\np = 0.421\nn = 1000\nn = 10\n")
+    assert main(["dp", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: config key 'n' is given twice\n"
+    assert captured.out == ""
+
+
 def test_config_rejects_line_without_separator(tmp_path, capsys):
     # `=` is the only separator: a `key: value` line is refused too.
     cfg = tmp_path / "params.cfg"
@@ -267,8 +277,8 @@ def test_bound_bad_tolerances_exit_two(capsys, tols, message):
     assert err.count("\n") == 1 and message in err
 
 
-# Every validate row passes here, yet the bisection's q' consistency check
-# fails at p ~ 1e-4.
+# Every validate row passes here, yet the certificate refuses p ~ 1e-4: the
+# rounding of q'(nu_hat)/p in m would reach the 12 printed digits.
 UNBOUNDABLE = (0.601108, 1.00004720517, 0.000104734)
 
 
@@ -287,7 +297,7 @@ def test_failed_numerical_check_exits_two_without_a_file(argv, tmp_path, capsys)
     assert main([*argv, *extra]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-    assert "q' disagree" in captured.err
+    assert "is too small" in captured.err
     assert captured.out == ""
     assert not out.exists()
 

@@ -6,6 +6,9 @@ quantitative backing for treating ~1e-12 discrepancies as rounding noise
 elsewhere.
 """
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -14,10 +17,22 @@ import rostop.dp as dp_module
 from rostop import (
     acceptance_times,
     compute_thresholds,
+    hardness_bound,
     make_instance,
     optimal_value,
     prophet_exact,
+    validate,
 )
+from rostop.asymptotics import (
+    _limits,
+    _phi2,
+    _q,
+    _q_at_limits,
+    _q_higher_terms,
+    _q_prime_terms,
+    _where,
+)
+from rostop.prophet import _limit
 
 from conftest import PERTURBED, REF_PARAMS, tail_sums
 
@@ -184,3 +199,49 @@ def test_acceptance_times_match_high_precision_recursion():
     assert times.k_n == first(phi_hp, b)
     assert times.kbar_n == first(phibar_hp, b)
     assert times.j_n == first(phi_hp, a)
+
+
+def test_q_at_limits_is_the_six_term_q_at_the_limits():
+    # The identity behind m, on the library's own formula functions in
+    # 50 digits; phi2 taken from expm1 alone, whose series is checked below.
+    rng = np.random.default_rng(21)
+    expm1_only = lambda cond, x, y: y
+    with mpmath.workdps(50):
+        for a, b, log_p, t in rng.uniform([0.1, 1.0, -6.0, 0.0], [0.99, 3.0, 0.5, 1.0], (200, 4)):
+            a, b, p = mpf(a), mpf(b), mpf(10.0) ** log_p
+            lam, mu = _limits(a, b, p, mpmath.log1p)
+            nu = mu + mpf(t) * (lam - mu)
+            q1 = _q_prime_terms(a, p, lam, 1 + b * p, nu, mpmath.exp)[0]
+            closed = _q_at_limits(b, p, mu, nu, q1, mpmath.expm1, expm1_only)
+            assert abs(_q(a, b, p, lam, mu, nu, mpmath.exp) - closed) <= mpf("1e-35")
+
+
+def test_phi2_within_four_ulps():
+    x = np.geomspace(1e-12, 50.0, 1500).tolist() + np.linspace(1.9, 2.1, 101).tolist()
+    with mpmath.workdps(50):
+        for xi in x:
+            exact = float((mpmath.expm1(mpf(xi)) - xi) / mpf(xi) ** 2)
+            assert abs(_phi2(xi, math.expm1, _where) - exact) <= 4 * math.ulp(exact), xi
+
+
+def _mp_bound(a, b, p):
+    """``M`` in 50 digits: ``nu*`` by Newton from the float bound's ``nu_hat``,
+    ``q`` in its six-term form."""
+    hb = hardness_bound(a, b, p)
+    with mpmath.workdps(50):
+        a, b, p = mpf(a), mpf(b), mpf(p)
+        lam, mu = _limits(a, b, p, mpmath.log1p)
+        nu = mpf(hb.nu_hat)
+        for _ in range(3):
+            q1, e1, slope = _q_prime_terms(a, p, lam, 1 + b * p, nu, mpmath.exp)
+            nu -= q1 / _q_higher_terms(a, b, p, e1, slope)[0]
+        return hb.M, _q(a, b, p, lam, mu, nu, mpmath.exp) / _limit(a, b, p, mpmath.exp)
+
+
+def test_bound_is_accurate_to_its_rounding_down_to_the_smallest_p():
+    # m's rounding is about one ulp of 1 divided by p (the q'(nu_hat)/p term).
+    for p in np.geomspace(0.5, 9e-4, 20).tolist():
+        point = (0.65, 1.0 + p / 4, p)
+        assert validate(*point).passed
+        M, exact = _mp_bound(*point)
+        assert abs(M - exact) <= 4e-16 * (1.0 + 1.0 / p), point

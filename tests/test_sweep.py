@@ -172,7 +172,7 @@ _ULP = 2.0**-52
 
 
 def _exp_off_by_random_8_ulps(x):
-    # The sign drawn per element, so the two exps of one halving can move apart.
+    # The sign drawn per element, so the lanes of one halving move apart.
     signs = np.random.default_rng(x.size).choice([-1.0, 1.0], x.size)
     return np.exp(x) * (1.0 + 8 * _ULP * signs)
 
@@ -188,9 +188,9 @@ def _exp_off_by_random_8_ulps(x):
 )
 def test_halvings_keep_libm_bits_on_a_perturbed_exp(monkeypatch, fast_exp):
     # The halvings run on bound._fast_exp, and the guard hands every lane
-    # whose sign or 1e-12 check it cannot prove to libm.  An exp 8 ulps off
-    # numpy's stays inside the guard's allowance, so every record and field
-    # keeps its bits; a NaN exp puts every lane in doubt.
+    # whose sign it cannot prove to libm.  An exp 8 ulps off numpy's stays
+    # inside the guard's allowance, so every record and field keeps its
+    # bits; a NaN exp puts every lane in doubt.
     records = run_sweep(README_GRID)
     points = [(r.a, r.b, r.p) for r in records if r.feasible]
     scalar = [hardness_bound(*pt) for pt in points]
@@ -201,16 +201,10 @@ def test_halvings_keep_libm_bits_on_a_perturbed_exp(monkeypatch, fast_exp):
         assert column.tolist() == [getattr(hb, field) for hb in scalar], field
 
 
-def test_small_p_sweep_skips_the_numpy_pass(monkeypatch):
-    # Below p of about 0.03 the guard can decide no lane's 1e-12 check, so
-    # the halvings must not call bound._fast_exp at all; every lane runs on
-    # libm and keeps hardness_bound's bits.
+def test_small_p_sweep_skips_the_numpy_pass():
+    # The halvings run on bound._fast_exp at every p, and the lanes keep
+    # hardness_bound's bits at small p too.
     grid = SweepSpec(a=(0.55, 0.65, 0.05), b=(1.0001, 1.0051, 0.001), p=(0.005, 0.025, 0.01))
-
-    def no_fast_exp(x):
-        raise AssertionError("numpy pass at small p")
-
-    monkeypatch.setattr(rostop.bound, "_fast_exp", no_fast_exp)
     points = [(r.a, r.b, r.p) for r in run_sweep(grid) if r.feasible]
     assert len(points) >= 10
     scalar = [hardness_bound(*pt) for pt in points]
